@@ -25,6 +25,16 @@ loadOf(const CloudProvider &provider)
     return load;
 }
 
+ShardId
+emptiestOther(ShardId self, const std::vector<ShardLoad> &loads)
+{
+    ShardId to = self == 0 ? 1 : 0;
+    for (ShardId s = 0; s < loads.size(); ++s)
+        if (s != self && loads[s].freeSlices > loads[to].freeSlices)
+            to = s;
+    return to;
+}
+
 const char *
 placementPolicyName(PlacementPolicy p)
 {
@@ -118,12 +128,7 @@ PlacementRouter::maybeRebalanceFrom(
     if (me.active == 0 || !cooldownOver(self, me.round))
         return std::nullopt;
 
-    // Target: the emptiest *other* shard.
-    ShardId to = self == 0 ? 1 : 0;
-    for (ShardId s = 0; s < shards_; ++s)
-        if (s != self && loads[s].freeSlices > loads[to].freeSlices)
-            to = s;
-
+    ShardId to = emptiestOther(self, loads);
     const char *reason = nullptr;
     if (rebalance_.fragThreshold > 0.0
         && me.fragmentation > rebalance_.fragThreshold)
@@ -149,21 +154,7 @@ PlacementRouter::maybeRebalanceFrom(
         return std::nullopt;
 
     lastMove_[self] = me.round ? me.round : 1;
-    ++stats_.rebalances;
     return RebalancePlan{self, to, reason};
-}
-
-std::optional<RebalancePlan>
-PlacementRouter::maybeRebalance(const std::vector<ShardLoad> &loads)
-{
-    if (!rebalance_.enabled || shards_ < 2)
-        return std::nullopt;
-    // Most-loaded shard first: the one with the least free Slices.
-    ShardId from = 0;
-    for (ShardId s = 1; s < shards_; ++s)
-        if (loads[s].freeSlices < loads[from].freeSlices)
-            from = s;
-    return maybeRebalanceFrom(from, loads);
 }
 
 } // namespace cash::cloud

@@ -88,6 +88,12 @@ struct ShardLoad
 /** Sample one provider's load (helper for shard owners). */
 ShardLoad loadOf(const CloudProvider &provider);
 
+/** The shard other than `self` with the most free Slices (lowest id
+ *  on ties; needs two or more shards): where auto-target and
+ *  triggered migrations go. */
+ShardId emptiestOther(ShardId self,
+                      const std::vector<ShardLoad> &loads);
+
 /** How arrivals are spread across the region. */
 enum class PlacementPolicy : std::uint8_t
 {
@@ -128,7 +134,6 @@ struct PlacementStats
 {
     /** Arrivals routed per shard. */
     std::vector<std::uint64_t> routed;
-    std::uint64_t rebalances = 0;
 };
 
 /**
@@ -153,19 +158,13 @@ class PlacementRouter
                         const std::vector<ShardLoad> &loads);
 
     /**
-     * Should a tenant be migrated, and where? Fires when some
-     * shard's fragmentation exceeds the threshold, or when the
-     * free-Slice imbalance across the region exceeds its threshold;
-     * the target is the shard with the most free Slices. Honors the
-     * per-shard cooldown. Deterministic in (loads, prior calls).
-     */
-    std::optional<RebalancePlan>
-    maybeRebalance(const std::vector<ShardLoad> &loads);
-
-    /**
-     * Single-shard variant for per-shard owners (the server's sim
-     * threads): only plans migrations *out of* `self`, so N
-     * concurrent callers never plan conflicting moves.
+     * Should `self` shed a tenant, and where to? Fires when its
+     * fragmentation exceeds the threshold, or when the region's
+     * free-Slice imbalance exceeds its threshold and `self` is the
+     * crowded end; the target is emptiestOther(self). Honors
+     * `self`'s cooldown. Only plans moves *out of* `self`, so
+     * per-shard callers never plan conflicting moves.
+     * Deterministic in (loads, prior calls).
      */
     std::optional<RebalancePlan>
     maybeRebalanceFrom(ShardId self,

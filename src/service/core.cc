@@ -1,11 +1,127 @@
 #include "service/core.hh"
 
+#include <cstdlib>
+
 #include "check/audit.hh"
 #include "common/log.hh"
 #include "trace/metrics.hh"
 
 namespace cash::service
 {
+
+// ---------------------------------------------------------------
+// Snapshot (de)serialization.
+// ---------------------------------------------------------------
+
+JsonValue
+snapshotToJson(const cloud::TenantSnapshot &snap)
+{
+    JsonValue v = JsonValue::object();
+    v.set("app", JsonValue(snap.cls.app));
+    v.set("kind",
+          JsonValue(static_cast<std::uint32_t>(snap.cls.kind)));
+    v.set("class_target", JsonValue(snap.cls.target));
+    v.set("min_slices", JsonValue(snap.cls.minCfg.slices));
+    v.set("min_banks", JsonValue(snap.cls.minCfg.banks));
+    v.set("peak_slices", JsonValue(snap.cls.peakCfg.slices));
+    v.set("peak_banks", JsonValue(snap.cls.peakCfg.banks));
+    v.set("target", JsonValue(snap.target));
+    v.set("residence_rounds", JsonValue(snap.residenceRounds));
+    v.set("active_rounds", JsonValue(snap.activeRounds));
+    v.set("bill", JsonValue(snap.migratedBill));
+    v.set("holdings", JsonValue(snap.migratedHoldings));
+    v.set("compact_cost", JsonValue(snap.unbilledCompactCost));
+    v.set("qos_samples", JsonValue(snap.qosSamples));
+    v.set("qos_violations", JsonValue(snap.qosViolations));
+    v.set("ewma_q", JsonValue(snap.ewmaQ));
+    // Seeds use all 64 bits; JSON numbers are doubles, so the seed
+    // travels as a decimal string.
+    v.set("src_seed", JsonValue(std::to_string(snap.srcSeed)));
+    v.set("src_emitted", JsonValue(snap.srcEmitted));
+    v.set("held_slices", JsonValue(snap.heldCfg.slices));
+    v.set("held_banks", JsonValue(snap.heldCfg.banks));
+    v.set("stall_cycles", JsonValue(snap.stallCycles));
+    v.set("hops", JsonValue(snap.hops));
+    v.set("joules", JsonValue(snap.joules));
+    return v;
+}
+
+std::optional<cloud::TenantSnapshot>
+snapshotFromJson(const JsonValue &v)
+{
+    if (!v.isObject())
+        return std::nullopt;
+    cloud::TenantSnapshot snap;
+
+    auto u32 = [&](const char *key, std::uint32_t min,
+                   std::uint32_t max,
+                   std::uint32_t &out) -> bool {
+        auto n = v.getUint(key);
+        if (!n || *n < min || *n > max)
+            return false;
+        out = static_cast<std::uint32_t>(*n);
+        return true;
+    };
+    auto u64 = [&](const char *key, std::uint64_t &out) -> bool {
+        auto n = v.getUint(key);
+        if (!n)
+            return false;
+        out = *n;
+        return true;
+    };
+    auto num = [&](const char *key, double &out) -> bool {
+        auto n = v.getNumber(key);
+        if (!n || !(*n >= 0.0)) // NaN and negatives rejected
+            return false;
+        out = *n;
+        return true;
+    };
+
+    auto app = v.getString("app");
+    if (!app || app->empty())
+        return std::nullopt;
+    snap.cls.app = *app;
+    std::uint32_t kind = 0;
+    if (!u32("kind", 0, 1, kind))
+        return std::nullopt;
+    snap.cls.kind = static_cast<QosKind>(kind);
+    if (!num("class_target", snap.cls.target)
+        || !u32("min_slices", 1, 1u << 16, snap.cls.minCfg.slices)
+        || !u32("min_banks", 1, 1u << 20, snap.cls.minCfg.banks)
+        || !u32("peak_slices", 1, 1u << 16, snap.cls.peakCfg.slices)
+        || !u32("peak_banks", 1, 1u << 20, snap.cls.peakCfg.banks)
+        || !num("target", snap.target)
+        || !u32("residence_rounds", 0, ~0u, snap.residenceRounds)
+        || !u64("active_rounds", snap.activeRounds)
+        || !num("bill", snap.migratedBill)
+        || !num("holdings", snap.migratedHoldings)
+        || !num("compact_cost", snap.unbilledCompactCost)
+        || !u64("qos_samples", snap.qosSamples)
+        || !u64("qos_violations", snap.qosViolations)
+        || !u64("src_emitted", snap.srcEmitted)
+        || !u32("held_slices", 1, 1u << 16, snap.heldCfg.slices)
+        || !u32("held_banks", 1, 1u << 20, snap.heldCfg.banks)
+        || !u64("stall_cycles", snap.stallCycles)
+        || !u32("hops", 1, ~0u, snap.hops)
+        || !num("joules", snap.joules))
+        return std::nullopt;
+    auto ewma = v.getNumber("ewma_q");
+    if (!ewma || !(*ewma == *ewma))
+        return std::nullopt;
+    snap.ewmaQ = *ewma;
+    auto seed = v.getString("src_seed");
+    if (!seed || seed->empty())
+        return std::nullopt;
+    char *end = nullptr;
+    snap.srcSeed = std::strtoull(seed->c_str(), &end, 10);
+    if (end == nullptr || *end != '\0')
+        return std::nullopt;
+    return snap;
+}
+
+// ---------------------------------------------------------------
+// ServiceCore.
+// ---------------------------------------------------------------
 
 ServiceCore::ServiceCore(cloud::CloudProvider &provider,
                          bool audit_each_quantum,
@@ -255,21 +371,51 @@ ServiceCore::applyShardInfo(const Request &req)
     return resp;
 }
 
-std::optional<cloud::TenantSnapshot>
-ServiceCore::migrateOut(std::uint32_t local_id)
+std::variant<Handoff, JsonValue>
+ServiceCore::migrateOut(const Request &req)
 {
-    auto snap = provider_.migrateOut(local_id);
-    if (snap)
-        maybeAudit();
-    return snap;
+    std::uint32_t local = cloud::tenantLocal(req.tenant);
+    const auto &tenants = provider_.tenants();
+    if (local >= tenants.size()
+        || tenants[local]->state != cloud::TenantState::Active)
+        return errorResponse(
+            req.id, errors::UnknownTenant,
+            strfmt("tenant %u is not active on shard %u", req.tenant,
+                   shardId_));
+    auto snap = provider_.migrateOut(local);
+    if (!snap)
+        return errorResponse(
+            req.id, errors::BadRequest,
+            strfmt("tenant %u is not migratable (request-driven "
+                   "source)",
+                   req.tenant));
+    maybeAudit();
+    return Handoff{req.id, shardId_, req.to, snap->stallCycles,
+                   snapshotToJson(*snap).dump()};
 }
 
-std::uint32_t
-ServiceCore::migrateIn(const cloud::TenantSnapshot &snap)
+JsonValue
+ServiceCore::migrateIn(const Handoff &h)
 {
-    cloud::TenantId local = provider_.migrateIn(snap);
+    auto parsed = parseJson(h.snapshotJson);
+    std::optional<cloud::TenantSnapshot> snap =
+        parsed ? snapshotFromJson(*parsed) : std::nullopt;
+    if (!snap)
+        panic("migration snapshot did not round-trip: %s",
+              h.snapshotJson.c_str());
+    cloud::TenantId local = provider_.migrateIn(*snap);
     maybeAudit();
-    return cloud::regionTenantId(shardId_, local);
+    CASH_METRIC_INC("service.migrations");
+    const cloud::Tenant &t = *provider_.tenants()[local];
+    JsonValue resp = okResponse(h.reqId);
+    resp.set("tenant",
+             JsonValue(cloud::regionTenantId(shardId_, local)));
+    resp.set("from", JsonValue(h.from));
+    resp.set("to", JsonValue(shardId_));
+    resp.set("stall_cycles", JsonValue(h.stallCycles));
+    resp.set("state", JsonValue(cloud::tenantStateName(t.state)));
+    resp.set("bill", JsonValue(t.bill()));
+    return resp;
 }
 
 JsonValue

@@ -27,6 +27,9 @@
 #define CASH_SERVICE_CORE_HH
 
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <variant>
 
 #include "cloud/placement.hh"
 #include "cloud/provider.hh"
@@ -34,6 +37,30 @@
 
 namespace cash::service
 {
+
+/** Serialize a migration snapshot. `src_seed` travels as a decimal
+ *  string: JSON numbers are doubles and seeds use all 64 bits. */
+JsonValue snapshotToJson(const cloud::TenantSnapshot &snap);
+
+/** Parse a migration snapshot; nullopt when a field is missing or
+ *  out of range. */
+std::optional<cloud::TenantSnapshot>
+snapshotFromJson(const JsonValue &v);
+
+/**
+ * A tenant in flight between shards: what migrate-out on the source
+ * hands to migrate-in on the target. The snapshot travels as JSON
+ * text even in-process, so every migration proves the wire format
+ * round-trips.
+ */
+struct Handoff
+{
+    std::uint64_t reqId = 0; ///< migrate request id; 0 = rebalance
+    cloud::ShardId from = 0;
+    cloud::ShardId to = 0;
+    std::uint64_t stallCycles = 0;
+    std::string snapshotJson;
+};
 
 /** Counters of what the core has applied (single-threaded). */
 struct CoreStats
@@ -59,21 +86,21 @@ class ServiceCore
                 cloud::ShardId shard_id = 0);
 
     /** Apply one request; always returns a response object.
-     *  Op::Migrate needs a region engine (RegionCore or the
-     *  server's migration chain) and answers bad_request here;
-     *  Op::Shards / Op::RegionSnapshot produce this shard's
-     *  partial, which region engines merge. */
+     *  Op::Migrate crosses shards, so it goes through
+     *  migrateOut/migrateIn and answers bad_request here;
+     *  the fan-out ops produce this shard's part, which the region
+     *  engine merges. */
     JsonValue apply(const Request &req);
 
-    /** Serialize one tenant (shard-local id) off this shard;
-     *  audits, like every mutation. nullopt when the tenant is
-     *  unknown or not Active. */
-    std::optional<cloud::TenantSnapshot>
-    migrateOut(std::uint32_t local_id);
+    /** Migrate-out of a routed migrate request (req.tenant lives on
+     *  this shard, req.to is the target): the hand-off, or the error
+     *  response when the tenant is not active here or is
+     *  request-driven. Audits, like every mutation. */
+    std::variant<Handoff, JsonValue> migrateOut(const Request &req);
 
-    /** Replay a snapshot onto this shard; returns the new
-     *  region-scoped tenant id. */
-    std::uint32_t migrateIn(const cloud::TenantSnapshot &snap);
+    /** Migrate-in: replay a hand-off onto this shard and build the
+     *  migrate response. Audits. */
+    JsonValue migrateIn(const Handoff &h);
 
     /** Drain the provider (idempotent) and return the final-bill
      *  report the daemon emits on SIGTERM: {"bills":[...],

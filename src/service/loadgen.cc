@@ -104,37 +104,34 @@ consumeResponse(const JsonValue &resp, SessionStats &st,
         ++st.otherErrors;
 }
 
-/** Build request r for this session step from the op-mix draw. */
+/** Build request r for this session step from the op-mix draw. The
+ *  roll's bands are depart, query, migrate, step, then arrive; a
+ *  draw in a tenant band by a session that owns no tenant arrives. */
 Request
 drawRequest(const LoadConfig &cfg, Rng &rng,
             std::vector<std::uint32_t> &owned)
 {
     Request r;
     double roll = rng.nextDouble();
-    if (roll < cfg.departProb && !owned.empty()) {
-        r.op = Op::Depart;
+    double tenant_ops =
+        cfg.departProb + cfg.queryProb + cfg.migrateProb;
+    if (roll < tenant_ops && !owned.empty()) {
         std::size_t pick = rng.nextBounded(owned.size());
         r.tenant = owned[pick];
-        owned.erase(owned.begin()
-                    + static_cast<std::ptrdiff_t>(pick));
+        if (roll < cfg.departProb) {
+            r.op = Op::Depart;
+            owned.erase(owned.begin()
+                        + static_cast<std::ptrdiff_t>(pick));
+        } else if (roll < cfg.departProb + cfg.queryProb) {
+            r.op = Op::Query;
+        } else {
+            // Target left at kAutoShard: the server's placement
+            // router picks the emptiest other shard.
+            r.op = Op::Migrate;
+        }
         return r;
     }
-    roll -= cfg.departProb;
-    if (roll < cfg.queryProb && !owned.empty()) {
-        r.op = Op::Query;
-        r.tenant = owned[rng.nextBounded(owned.size())];
-        return r;
-    }
-    roll -= cfg.queryProb;
-    if (roll < cfg.migrateProb && !owned.empty()) {
-        // Target left at kAutoShard: the server's placement router
-        // picks the emptiest other shard.
-        r.op = Op::Migrate;
-        r.tenant = owned[rng.nextBounded(owned.size())];
-        return r;
-    }
-    roll -= cfg.migrateProb;
-    if (roll < cfg.stepProb) {
+    if (roll >= tenant_ops && roll < tenant_ops + cfg.stepProb) {
         r.op = Op::Step;
         r.quanta = cfg.stepQuanta;
         return r;

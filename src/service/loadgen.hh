@@ -53,7 +53,9 @@ struct LoadConfig
     /** Base seed; session s uses an independent fork. */
     std::uint64_t seed = 1;
 
-    /** Op mix: arrivals fill the remainder. */
+    /** Op mix: arrivals fill the remainder. A depart, query or
+     *  migrate draw by a session that owns no tenant is sent as an
+     *  arrive, so `stepProb` is exactly the step share. */
     double departProb = 0.25;
     double queryProb = 0.15;
     double stepProb = 0.15;

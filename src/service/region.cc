@@ -1,123 +1,10 @@
 #include "service/region.hh"
 
-#include <cstdlib>
-
-#include "cloud/tenant.hh"
 #include "common/log.hh"
 #include "trace/metrics.hh"
 
 namespace cash::service
 {
-
-// ---------------------------------------------------------------
-// Snapshot (de)serialization.
-// ---------------------------------------------------------------
-
-JsonValue
-snapshotToJson(const cloud::TenantSnapshot &snap)
-{
-    JsonValue v = JsonValue::object();
-    v.set("app", JsonValue(snap.cls.app));
-    v.set("kind",
-          JsonValue(static_cast<std::uint32_t>(snap.cls.kind)));
-    v.set("class_target", JsonValue(snap.cls.target));
-    v.set("min_slices", JsonValue(snap.cls.minCfg.slices));
-    v.set("min_banks", JsonValue(snap.cls.minCfg.banks));
-    v.set("peak_slices", JsonValue(snap.cls.peakCfg.slices));
-    v.set("peak_banks", JsonValue(snap.cls.peakCfg.banks));
-    v.set("target", JsonValue(snap.target));
-    v.set("residence_rounds", JsonValue(snap.residenceRounds));
-    v.set("active_rounds", JsonValue(snap.activeRounds));
-    v.set("bill", JsonValue(snap.migratedBill));
-    v.set("holdings", JsonValue(snap.migratedHoldings));
-    v.set("compact_cost", JsonValue(snap.unbilledCompactCost));
-    v.set("qos_samples", JsonValue(snap.qosSamples));
-    v.set("qos_violations", JsonValue(snap.qosViolations));
-    v.set("ewma_q", JsonValue(snap.ewmaQ));
-    // Seeds use all 64 bits; JSON numbers are doubles, so the seed
-    // travels as a decimal string.
-    v.set("src_seed", JsonValue(std::to_string(snap.srcSeed)));
-    v.set("src_emitted", JsonValue(snap.srcEmitted));
-    v.set("held_slices", JsonValue(snap.heldCfg.slices));
-    v.set("held_banks", JsonValue(snap.heldCfg.banks));
-    v.set("stall_cycles", JsonValue(snap.stallCycles));
-    v.set("hops", JsonValue(snap.hops));
-    v.set("joules", JsonValue(snap.joules));
-    return v;
-}
-
-std::optional<cloud::TenantSnapshot>
-snapshotFromJson(const JsonValue &v)
-{
-    if (!v.isObject())
-        return std::nullopt;
-    cloud::TenantSnapshot snap;
-
-    auto u32 = [&](const char *key, std::uint32_t min,
-                   std::uint32_t max,
-                   std::uint32_t &out) -> bool {
-        auto n = v.getUint(key);
-        if (!n || *n < min || *n > max)
-            return false;
-        out = static_cast<std::uint32_t>(*n);
-        return true;
-    };
-    auto u64 = [&](const char *key, std::uint64_t &out) -> bool {
-        auto n = v.getUint(key);
-        if (!n)
-            return false;
-        out = *n;
-        return true;
-    };
-    auto num = [&](const char *key, double &out) -> bool {
-        auto n = v.getNumber(key);
-        if (!n || !(*n >= 0.0)) // NaN and negatives rejected
-            return false;
-        out = *n;
-        return true;
-    };
-
-    auto app = v.getString("app");
-    if (!app || app->empty())
-        return std::nullopt;
-    snap.cls.app = *app;
-    std::uint32_t kind = 0;
-    if (!u32("kind", 0, 1, kind))
-        return std::nullopt;
-    snap.cls.kind = static_cast<QosKind>(kind);
-    if (!num("class_target", snap.cls.target)
-        || !u32("min_slices", 1, 1u << 16, snap.cls.minCfg.slices)
-        || !u32("min_banks", 1, 1u << 20, snap.cls.minCfg.banks)
-        || !u32("peak_slices", 1, 1u << 16, snap.cls.peakCfg.slices)
-        || !u32("peak_banks", 1, 1u << 20, snap.cls.peakCfg.banks)
-        || !num("target", snap.target)
-        || !u32("residence_rounds", 0, ~0u, snap.residenceRounds)
-        || !u64("active_rounds", snap.activeRounds)
-        || !num("bill", snap.migratedBill)
-        || !num("holdings", snap.migratedHoldings)
-        || !num("compact_cost", snap.unbilledCompactCost)
-        || !u64("qos_samples", snap.qosSamples)
-        || !u64("qos_violations", snap.qosViolations)
-        || !u64("src_emitted", snap.srcEmitted)
-        || !u32("held_slices", 1, 1u << 16, snap.heldCfg.slices)
-        || !u32("held_banks", 1, 1u << 20, snap.heldCfg.banks)
-        || !u64("stall_cycles", snap.stallCycles)
-        || !u32("hops", 1, ~0u, snap.hops)
-        || !num("joules", snap.joules))
-        return std::nullopt;
-    auto ewma = v.getNumber("ewma_q");
-    if (!ewma || !(*ewma == *ewma))
-        return std::nullopt;
-    snap.ewmaQ = *ewma;
-    auto seed = v.getString("src_seed");
-    if (!seed || seed->empty())
-        return std::nullopt;
-    char *end = nullptr;
-    snap.srcSeed = std::strtoull(seed->c_str(), &end, 10);
-    if (end == nullptr || *end != '\0')
-        return std::nullopt;
-    return snap;
-}
 
 // ---------------------------------------------------------------
 // Partial-response merging.
@@ -162,8 +49,7 @@ mergedOk(std::uint64_t id, const std::vector<JsonValue> &parts)
     return resp;
 }
 
-} // namespace
-
+/** step: round from shard 0, active summed, ok ANDed. */
 JsonValue
 mergeStepParts(std::uint64_t id, const std::vector<JsonValue> &parts)
 {
@@ -176,6 +62,8 @@ mergeStepParts(std::uint64_t id, const std::vector<JsonValue> &parts)
     return resp;
 }
 
+/** snapshot: counters summed, qos_delivery recomputed from the
+ *  summed SLA tallies, draining ANDed, plus "shards":N. */
 JsonValue
 mergeSnapshotParts(std::uint64_t id,
                    const std::vector<JsonValue> &parts)
@@ -222,6 +110,8 @@ mergeSnapshotParts(std::uint64_t id,
     return resp;
 }
 
+/** region_energy: every joule ledger and the energy revenue summed,
+ *  plus "per_shard":[parts]. */
 JsonValue
 mergeEnergyParts(std::uint64_t id,
                  const std::vector<JsonValue> &parts)
@@ -246,6 +136,8 @@ mergeEnergyParts(std::uint64_t id,
     return resp;
 }
 
+/** shards: {"shards":N,"placement":...,"migrations":...,
+ *  "rebalances":...,"shard_info":[parts]}. */
 JsonValue
 mergeShardsParts(std::uint64_t id,
                  const std::vector<JsonValue> &parts,
@@ -264,6 +156,8 @@ mergeShardsParts(std::uint64_t id,
     return resp;
 }
 
+/** region_snapshot: {"shards":N,"routed":[arrivals per shard],
+ *  "migrations":...,"rebalances":...,"per_shard":[parts]}. */
 JsonValue
 mergeRegionSnapshotParts(std::uint64_t id,
                          const std::vector<JsonValue> &parts,
@@ -286,6 +180,8 @@ mergeRegionSnapshotParts(std::uint64_t id,
     return resp;
 }
 
+/** drain: bills concatenated in shard order (rows already carry
+ *  region ids and a "shard" field), revenue and departed summed. */
 JsonValue
 mergeDrainParts(std::uint64_t id, const std::vector<JsonValue> &parts)
 {
@@ -309,14 +205,17 @@ mergeDrainParts(std::uint64_t id, const std::vector<JsonValue> &parts)
     return resp;
 }
 
+} // namespace
+
 // ---------------------------------------------------------------
-// RegionCore.
+// RegionEngine.
 // ---------------------------------------------------------------
 
-RegionCore::RegionCore(const cloud::ProviderParams &params,
-                       std::uint32_t shards, bool audit_each_quantum,
-                       cloud::PlacementPolicy policy,
-                       const cloud::RebalanceParams &rebalance)
+RegionEngine::RegionEngine(const cloud::ProviderParams &params,
+                           std::uint32_t shards,
+                           bool audit_each_quantum,
+                           cloud::PlacementPolicy policy,
+                           const cloud::RebalanceParams &rebalance)
     : router_(shards, policy, rebalance)
 {
     for (std::uint32_t s = 0; s < shards; ++s) {
@@ -329,199 +228,214 @@ RegionCore::RegionCore(const cloud::ProviderParams &params,
     }
 }
 
+Route
+RegionEngine::route(const Request &req, const LoadsFn &loads)
+{
+    Route r;
+    r.request = req;
+    auto answer = [&r](JsonValue resp) {
+        r.kind = Route::Kind::Answer;
+        r.answer = std::move(resp);
+        return r;
+    };
+    switch (req.op) {
+      case Op::Ping:
+        r.kind = Route::Kind::Shard;
+        return r;
+      case Op::Arrive: {
+        // Invalid classes go to shard 0 for the canonical error;
+        // valid ones are routed on the class's admission minimum.
+        r.kind = Route::Kind::Shard;
+        const auto &catalog = provider(0).params().catalog;
+        if (req.cls < catalog.size()) {
+            std::vector<cloud::ShardLoad> l = loads();
+            std::lock_guard<std::mutex> lock(mutex_);
+            r.shard = router_.chooseShard(catalog[req.cls].minCfg, l);
+        }
+        return r;
+      }
+      case Op::Depart:
+      case Op::Query:
+      case Op::Migrate: {
+        if (req.op == Op::Migrate && shards() < 2)
+            return answer(errorResponse(req.id, errors::BadRequest,
+                                        "region has a single shard"));
+        cloud::ShardId from = cloud::tenantShard(req.tenant);
+        if (from >= shards())
+            return answer(errorResponse(
+                req.id, errors::UnknownTenant,
+                strfmt("tenant %u names shard %u of a %u-shard region",
+                       req.tenant, from, shards())));
+        r.kind = Route::Kind::Shard;
+        r.shard = from;
+        if (req.op != Op::Migrate)
+            return r;
+        if (req.to == Request::kAutoShard)
+            r.request.to = cloud::emptiestOther(from, loads());
+        else if (req.to >= shards())
+            return answer(errorResponse(
+                req.id, errors::BadRequest,
+                strfmt("target shard %u out of range (region has %u)",
+                       req.to, shards())));
+        else if (req.to == from)
+            return answer(errorResponse(
+                req.id, errors::BadRequest,
+                strfmt("tenant %u is already on shard %u", req.tenant,
+                       req.to)));
+        return r;
+      }
+      case Op::Step:
+      case Op::Snapshot:
+      case Op::Drain:
+      case Op::Shards:
+      case Op::RegionSnapshot:
+      case Op::RegionEnergy:
+        return r; // Route::Kind::All
+    }
+    return r;
+}
+
+JsonValue
+RegionEngine::merge(Op op, std::uint64_t id,
+                    const std::vector<JsonValue> &parts)
+{
+    switch (op) {
+      case Op::Step:
+        return mergeStepParts(id, parts);
+      case Op::Snapshot:
+        return mergeSnapshotParts(id, parts);
+      case Op::Drain:
+        return mergeDrainParts(id, parts);
+      case Op::RegionEnergy:
+        return mergeEnergyParts(id, parts);
+      case Op::Shards: {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return mergeShardsParts(
+            id, parts, cloud::placementPolicyName(router_.policy()),
+            stats_);
+      }
+      case Op::RegionSnapshot: {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return mergeRegionSnapshotParts(id, parts,
+                                        router_.stats().routed, stats_);
+      }
+      default:
+        panic("op %s does not fan out", opName(op));
+    }
+}
+
+std::optional<Handoff>
+RegionEngine::afterBatch(cloud::ShardId self, const LoadsFn &loads)
+{
+    ServiceCore &c = core(self);
+    if (c.draining() || !router_.rebalance().enabled || shards() < 2)
+        return std::nullopt;
+    std::vector<cloud::ShardLoad> l = loads();
+    std::optional<cloud::RebalancePlan> plan;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        plan = router_.maybeRebalanceFrom(self, l);
+    }
+    if (!plan)
+        return std::nullopt;
+    cloud::TenantId migrant = c.provider().pickMigrant();
+    if (migrant == cloud::invalidTenant)
+        return std::nullopt;
+    Request req;
+    req.op = Op::Migrate;
+    req.tenant = cloud::regionTenantId(self, migrant);
+    req.to = plan->to;
+    std::variant<Handoff, JsonValue> out = c.migrateOut(req);
+    Handoff *h = std::get_if<Handoff>(&out);
+    if (!h)
+        return std::nullopt;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++stats_.rebalances;
+    }
+    CASH_METRIC_INC("service.rebalances");
+    return std::move(*h);
+}
+
+JsonValue
+RegionEngine::migrateIn(const Handoff &h)
+{
+    JsonValue resp = core(h.to).migrateIn(h);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.migrations;
+    return resp;
+}
+
+RegionStats
+RegionEngine::stats() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stats_;
+}
+
+// ---------------------------------------------------------------
+// RegionCore: the single-threaded scheduler.
+// ---------------------------------------------------------------
+
 std::vector<cloud::ShardLoad>
 RegionCore::sampleLoads() const
 {
     std::vector<cloud::ShardLoad> loads;
-    loads.reserve(cores_.size());
-    for (const auto &c : cores_)
-        loads.push_back(c->load());
+    loads.reserve(shards());
+    for (std::uint32_t s = 0; s < shards(); ++s)
+        loads.push_back(cloud::loadOf(provider(s)));
     return loads;
 }
 
-std::vector<JsonValue>
-RegionCore::collectParts(const Request &req)
+void
+RegionCore::afterRequest(cloud::ShardId shard)
 {
-    std::vector<JsonValue> parts;
-    parts.reserve(cores_.size());
-    for (auto &c : cores_)
-        parts.push_back(c->apply(req));
-    return parts;
+    if (auto h = afterBatch(shard, [this] { return sampleLoads(); }))
+        migrateIn(*h);
 }
 
 JsonValue
 RegionCore::apply(const Request &req)
 {
-    switch (req.op) {
-      case Op::Ping:
-        return cores_[0]->apply(req);
-      case Op::Arrive:
-        return applyArrive(req);
-      case Op::Depart:
-      case Op::Query:
-        return applyTenantOp(req);
-      case Op::Migrate:
-        return applyMigrate(req);
-      case Op::Step: {
-        std::vector<JsonValue> parts = collectParts(req);
-        maybeRebalance();
-        return mergeStepParts(req.id, parts);
-      }
-      case Op::Snapshot:
-        return mergeSnapshotParts(req.id, collectParts(req));
-      case Op::Shards:
-        return mergeShardsParts(
-            req.id, collectParts(req),
-            cloud::placementPolicyName(router_.policy()), stats_);
-      case Op::RegionSnapshot:
-        return mergeRegionSnapshotParts(req.id, collectParts(req),
-                                        router_.stats().routed,
-                                        stats_);
-      case Op::RegionEnergy:
-        return mergeEnergyParts(req.id, collectParts(req));
-      case Op::Drain: {
-        JsonValue resp = drainReport();
-        resp.set("id", JsonValue(req.id));
+    Route r = route(req, [this] { return sampleLoads(); });
+    if (r.kind == Route::Kind::Answer)
+        return r.answer;
+    JsonValue resp;
+    if (r.kind == Route::Kind::All) {
+        std::vector<JsonValue> parts;
+        parts.reserve(shards());
+        for (std::uint32_t s = 0; s < shards(); ++s)
+            parts.push_back(core(s).apply(req));
+        resp = merge(req.op, req.id, parts);
+        for (std::uint32_t s = 0; s < shards(); ++s)
+            afterRequest(s);
         return resp;
-      }
     }
-    return errorResponse(req.id, errors::BadRequest, "unhandled op");
-}
-
-JsonValue
-RegionCore::applyArrive(const Request &req)
-{
-    // Invalid classes go to shard 0 for the canonical error; valid
-    // ones are routed on the class's admission minimum.
-    const auto &catalog = providers_[0]->params().catalog;
-    cloud::ShardId target = 0;
-    if (req.cls < catalog.size())
-        target = router_.chooseShard(catalog[req.cls].minCfg,
-                                     sampleLoads());
-    return cores_[target]->apply(req);
-}
-
-JsonValue
-RegionCore::applyTenantOp(const Request &req)
-{
-    cloud::ShardId shard = cloud::tenantShard(req.tenant);
-    if (shard >= shards())
-        return errorResponse(
-            req.id, errors::UnknownTenant,
-            strfmt("tenant %u names shard %u of a %u-shard region",
-                   req.tenant, shard, shards()));
-    return cores_[shard]->apply(req);
-}
-
-JsonValue
-RegionCore::applyMigrate(const Request &req)
-{
-    if (shards() < 2)
-        return errorResponse(req.id, errors::BadRequest,
-                             "region has a single shard");
-    cloud::ShardId from = cloud::tenantShard(req.tenant);
-    if (from >= shards())
-        return errorResponse(
-            req.id, errors::UnknownTenant,
-            strfmt("tenant %u names shard %u of a %u-shard region",
-                   req.tenant, from, shards()));
-    cloud::ShardId target = req.to;
-    if (target == Request::kAutoShard) {
-        // Router's choice: the emptiest other shard.
-        std::vector<cloud::ShardLoad> loads = sampleLoads();
-        target = from == 0 ? 1 : 0;
-        for (cloud::ShardId s = 0; s < shards(); ++s)
-            if (s != from
-                && loads[s].freeSlices > loads[target].freeSlices)
-                target = s;
-    } else if (target >= shards()) {
-        return errorResponse(
-            req.id, errors::BadRequest,
-            strfmt("target shard %u out of range (region has %u)",
-                   target, shards()));
-    } else if (target == from) {
-        return errorResponse(
-            req.id, errors::BadRequest,
-            strfmt("tenant %u is already on shard %u", req.tenant,
-                   target));
+    if (r.request.op != Op::Migrate) {
+        resp = core(r.shard).apply(r.request);
+        afterRequest(r.shard);
+        return resp;
     }
-    return migrate(req.id, req.tenant, target);
-}
-
-JsonValue
-RegionCore::migrate(std::uint64_t id, std::uint32_t region_tenant,
-                    std::uint32_t target)
-{
-    cloud::ShardId from = cloud::tenantShard(region_tenant);
-    std::uint32_t local = cloud::tenantLocal(region_tenant);
-    const auto &tenants = providers_[from]->tenants();
-    if (local >= tenants.size()
-        || tenants[local]->state != cloud::TenantState::Active)
-        return errorResponse(
-            id, errors::UnknownTenant,
-            strfmt("tenant %u is not active on shard %u",
-                   region_tenant, from));
-
-    auto snap = cores_[from]->migrateOut(local);
-    if (!snap)
-        return errorResponse(
-            id, errors::BadRequest,
-            strfmt("tenant %u is not migratable (request-driven "
-                   "source)",
-                   region_tenant));
-
-    // Through the wire format on purpose: every in-process
-    // migration proves the JSON snapshot round-trips.
-    std::string text = snapshotToJson(*snap).dump();
-    auto parsed = parseJson(text);
-    if (!parsed)
-        panic("migration snapshot did not re-parse: %s",
-              text.c_str());
-    auto snap2 = snapshotFromJson(*parsed);
-    if (!snap2)
-        panic("migration snapshot did not round-trip: %s",
-              text.c_str());
-
-    std::uint32_t new_id = cores_[target]->migrateIn(*snap2);
-    const cloud::Tenant &t =
-        *providers_[target]->tenants()[cloud::tenantLocal(new_id)];
-    ++stats_.migrations;
-    CASH_METRIC_INC("service.migrations");
-
-    JsonValue resp = okResponse(id);
-    resp.set("tenant", JsonValue(new_id));
-    resp.set("from", JsonValue(from));
-    resp.set("to", JsonValue(target));
-    resp.set("stall_cycles", JsonValue(snap->stallCycles));
-    resp.set("state", JsonValue(cloud::tenantStateName(t.state)));
-    resp.set("bill", JsonValue(t.bill()));
-    return resp;
-}
-
-void
-RegionCore::maybeRebalance()
-{
-    auto plan = router_.maybeRebalance(sampleLoads());
-    if (!plan)
-        return;
-    cloud::TenantId migrant = providers_[plan->from]->pickMigrant();
-    if (migrant == cloud::invalidTenant)
-        return;
-    JsonValue resp =
-        migrate(0, cloud::regionTenantId(plan->from, migrant),
-                plan->to);
-    if (resp.getBool("ok").value_or(false))
-        ++stats_.rebalances;
+    std::variant<Handoff, JsonValue> out =
+        core(r.shard).migrateOut(r.request);
+    if (Handoff *h = std::get_if<Handoff>(&out)) {
+        resp = migrateIn(*h);
+        afterRequest(r.shard);
+        afterRequest(h->to);
+        return resp;
+    }
+    afterRequest(r.shard);
+    return std::get<JsonValue>(out);
 }
 
 JsonValue
 RegionCore::drainReport()
 {
     std::vector<JsonValue> parts;
-    parts.reserve(cores_.size());
-    for (auto &c : cores_)
-        parts.push_back(c->drainReport());
-    return mergeDrainParts(0, parts);
+    parts.reserve(shards());
+    for (std::uint32_t s = 0; s < shards(); ++s)
+        parts.push_back(core(s).drainReport());
+    return merge(Op::Drain, 0, parts);
 }
 
 } // namespace cash::service

@@ -1,32 +1,41 @@
 /**
  * @file
- * RegionCore: a multi-chip region behind one protocol endpoint.
+ * The region engine: a multi-chip region behind one protocol
+ * endpoint.
  *
- * Owns N CloudProviders ("shards"), one ServiceCore each, and a
- * PlacementRouter (cloud/placement.hh) that decides where arrivals
- * land and when fragmentation or imbalance should push a tenant to
- * another chip. Like ServiceCore it is sockets-free and
- * single-threaded: the fuzzer's region family and the unit tests
- * drive it directly, and the threaded server reuses its merge
- * helpers and its snapshot (de)serializer so the wire path and the
- * in-process path compute byte-identical responses.
+ * RegionEngine owns N CloudProviders ("shards"), one ServiceCore
+ * each, and a PlacementRouter (cloud/placement.hh), and makes every
+ * region decision in one place:
+ *
+ *  - route(): where a request goes — an error to answer now, one
+ *    shard (a migrate's auto target resolved), or every shard;
+ *  - merge(): how the per-shard parts of a fanned-out op become the
+ *    region response;
+ *  - ServiceCore::migrateOut / migrateIn: how a tenant crosses
+ *    shards (a JSON hand-off, even in-process, so every migration
+ *    also proves the wire serialization round-trips);
+ *  - afterBatch(): when a shard sheds a tenant to rebalance.
+ *
+ * Two schedulers drive it. RegionCore (below) applies one request at
+ * a time and treats each request as one batch; the fuzzer's region
+ * family, the unit tests and the perfbench twin use it. ServiceServer
+ * (service/server.hh) runs one sim thread per shard behind epoll IO
+ * threads. Because both act on the same decisions, a single client
+ * gets byte-identical responses from either.
  *
  * Determinism contract: region state is a pure function of the
  * applied request sequence. Shard s seeds its provider with
  * params.seed + s, so shard 0 of any region equals the single-chip
  * daemon fed the same requests.
- *
- * Cross-shard migration goes through JSON on purpose —
- * migrateOut → snapshotToJson → dump → parse → snapshotFromJson →
- * migrateIn — so every in-process migration also proves the wire
- * serialization round-trips.
  */
 
 #ifndef CASH_SERVICE_REGION_HH
 #define CASH_SERVICE_REGION_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -38,75 +47,43 @@
 namespace cash::service
 {
 
-/** Region-level counters (on top of the router's). */
+/** Region-level counters. */
 struct RegionStats
 {
     /** Completed cross-shard migrations (explicit + triggered). */
     std::uint64_t migrations = 0;
-    /** Migrations planned by the rebalance triggers. */
+    /** Tenants the rebalance triggers shed. */
     std::uint64_t rebalances = 0;
 };
 
-// ---------------------------------------------------------------
-// Tenant snapshot <-> JSON (the migration wire format).
-// ---------------------------------------------------------------
+/** Where one request goes (RegionEngine::route). */
+struct Route
+{
+    enum class Kind : std::uint8_t
+    {
+        Answer, ///< answer now with `answer` (an error)
+        Shard,  ///< apply `request` on `shard` alone
+        All,    ///< apply `request` on every shard, then merge
+    };
+    Kind kind = Kind::All;
+    cloud::ShardId shard = 0;
+    /** The request to apply; a migrate's auto `to` is resolved. */
+    Request request;
+    JsonValue answer;
+};
 
-/** Serialize a migration snapshot. `src_seed` travels as a decimal
- *  string: JSON numbers are doubles and seeds use all 64 bits. */
-JsonValue snapshotToJson(const cloud::TenantSnapshot &snap);
-
-/** Parse a migration snapshot; nullopt when a field is missing or
- *  out of range. */
-std::optional<cloud::TenantSnapshot>
-snapshotFromJson(const JsonValue &v);
-
-// ---------------------------------------------------------------
-// Partial-response merging. Each helper takes the per-shard partial
-// responses **in shard order** (as produced by ServiceCore::apply)
-// and builds the region response. Shared between RegionCore and the
-// threaded server so both emit identical bytes.
-// ---------------------------------------------------------------
-
-/** step: round from shard 0, active summed, ok ANDed. */
-JsonValue mergeStepParts(std::uint64_t id,
-                         const std::vector<JsonValue> &parts);
-
-/** snapshot: counters summed, qos_delivery recomputed from the
- *  summed SLA tallies, draining ANDed, plus "shards":N. */
-JsonValue mergeSnapshotParts(std::uint64_t id,
-                             const std::vector<JsonValue> &parts);
-
-/** shards: {"shards":N,"placement":...,"migrations":...,
- *  "rebalances":...,"shard_info":[partials]}. */
-JsonValue mergeShardsParts(std::uint64_t id,
-                           const std::vector<JsonValue> &parts,
-                           const char *placement,
-                           const RegionStats &stats);
-
-/** region_snapshot: {"shards":N,"per_shard":[partials],
- *  "routed":[arrivals per shard],...}. */
-JsonValue
-mergeRegionSnapshotParts(std::uint64_t id,
-                         const std::vector<JsonValue> &parts,
-                         const std::vector<std::uint64_t> &routed,
-                         const RegionStats &stats);
-
-/** drain: bills concatenated in shard order (rows already carry
- *  region ids and a "shard" field), revenue and departed summed,
- *  ok ANDed. */
-JsonValue mergeDrainParts(std::uint64_t id,
-                          const std::vector<JsonValue> &parts);
-
-/** region_energy: every joule ledger and the energy revenue summed
- *  across shards, plus "per_shard":[partials]. */
-JsonValue mergeEnergyParts(std::uint64_t id,
-                           const std::vector<JsonValue> &parts);
+/** Samples the shards' loads; called only when a decision needs
+ *  them. */
+using LoadsFn = std::function<std::vector<cloud::ShardLoad>()>;
 
 /**
- * The region engine. One provider + core per shard, router-driven
- * placement, in-process migration. Single-threaded.
+ * The region decisions over N shards. Shard s's core and provider
+ * belong to whoever schedules shard s; route, merge, afterBatch,
+ * migrateIn and stats may be called from any thread (one mutex
+ * guards the router and the counters), as long as afterBatch(s)
+ * runs where shard s is scheduled and migrateIn(h) where h.to is.
  */
-class RegionCore
+class RegionEngine
 {
   public:
     /**
@@ -118,18 +95,29 @@ class RegionCore
      * @param policy arrival placement policy
      * @param rebalance migration-trigger tunables
      */
-    RegionCore(const cloud::ProviderParams &params,
-               std::uint32_t shards, bool audit_each_quantum,
-               cloud::PlacementPolicy policy =
-                   cloud::PlacementPolicy::BinPack,
-               const cloud::RebalanceParams &rebalance = {});
+    RegionEngine(const cloud::ProviderParams &params,
+                 std::uint32_t shards, bool audit_each_quantum,
+                 cloud::PlacementPolicy policy =
+                     cloud::PlacementPolicy::BinPack,
+                 const cloud::RebalanceParams &rebalance = {});
 
-    /** Apply one request; always returns a response object. Step
-     *  advances every shard and then runs the rebalance triggers. */
-    JsonValue apply(const Request &req);
+    /** Where `req` goes. Calls `loads` only for an arrival of a
+     *  valid class and for an auto-target migrate. */
+    Route route(const Request &req, const LoadsFn &loads);
 
-    /** Drain every shard and aggregate the final-bill report. */
-    JsonValue drainReport();
+    /** The region response to a fanned-out op, from its per-shard
+     *  parts in shard order. */
+    JsonValue merge(Op op, std::uint64_t id,
+                    const std::vector<JsonValue> &parts);
+
+    /** The after-batch hook of shard `self`: unless it is draining,
+     *  plan a rebalance out of it, pick the migrant and migrate it
+     *  out. Returns the hand-off to deliver, if any. */
+    std::optional<Handoff> afterBatch(cloud::ShardId self,
+                                      const LoadsFn &loads);
+
+    /** Deliver a hand-off: migrate-in on shard h.to, counted. */
+    JsonValue migrateIn(const Handoff &h);
 
     std::uint32_t shards() const
     {
@@ -143,33 +131,38 @@ class RegionCore
     {
         return *providers_[shard];
     }
-    const cloud::PlacementRouter &router() const { return router_; }
-    const RegionStats &stats() const { return stats_; }
-    bool draining() const { return cores_[0]->draining(); }
+    RegionStats stats() const;
 
   private:
-    JsonValue applyArrive(const Request &req);
-    JsonValue applyMigrate(const Request &req);
-    /** Route req to the shard owning req.tenant (unknown_tenant
-     *  when the shard index is out of range). */
-    JsonValue applyTenantOp(const Request &req);
-
-    /** Apply req on every shard, in shard order. */
-    std::vector<JsonValue> collectParts(const Request &req);
-
-    /** Move one tenant; fills `resp` (ok or error). */
-    JsonValue migrate(std::uint64_t id, std::uint32_t region_tenant,
-                      std::uint32_t target);
-
-    /** Run the migration triggers once (after a step). */
-    void maybeRebalance();
-
-    std::vector<cloud::ShardLoad> sampleLoads() const;
-
-    std::vector<std::unique_ptr<cloud::CloudProvider>> providers_;
-    std::vector<std::unique_ptr<ServiceCore>> cores_;
     cloud::PlacementRouter router_;
     RegionStats stats_;
+    mutable std::mutex mutex_; ///< guards router_ and stats_
+    std::vector<std::unique_ptr<cloud::CloudProvider>> providers_;
+    std::vector<std::unique_ptr<ServiceCore>> cores_;
+};
+
+/**
+ * The single-threaded scheduler: applies one request at a time, in
+ * order, and runs the after-batch hook for every shard the request
+ * touched (source before target for a migrate, shard order
+ * otherwise).
+ */
+class RegionCore : public RegionEngine
+{
+  public:
+    using RegionEngine::RegionEngine;
+
+    /** Apply one request; always returns a response object. */
+    JsonValue apply(const Request &req);
+
+    /** Drain every shard and aggregate the final-bill report. */
+    JsonValue drainReport();
+
+    bool draining() const { return provider(0).draining(); }
+
+  private:
+    std::vector<cloud::ShardLoad> sampleLoads() const;
+    void afterRequest(cloud::ShardId shard);
 };
 
 } // namespace cash::service

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 
-#include "cloud/tenant.hh"
 #include "common/log.hh"
 #include "trace/metrics.hh"
 #include "trace/trace.hh"
@@ -87,26 +86,17 @@ constexpr std::uint64_t kConnTagBase = 8;
 ServiceServer::ServiceServer(const cloud::ProviderParams &params,
                              const ServerConfig &config)
     : config_(config),
-      router_(config.shards, config.placement, config.rebalance)
+      region_(params, config.shards, config.audit, config.placement,
+              config.rebalance),
+      shards_(region_.shards())
 {
     if (config_.ioThreads == 0)
         config_.ioThreads = 1;
-    for (std::uint32_t s = 0; s < config_.shards; ++s) {
-        cloud::ProviderParams p = params;
-        p.seed = params.seed + s;
-        Shard sh;
-        sh.provider = std::make_unique<cloud::CloudProvider>(p);
-        sh.core = std::make_unique<ServiceCore>(*sh.provider,
-                                                config_.audit, s);
-        sh.queue = std::make_unique<BoundedQueue<SimTask>>(
+    for (std::uint32_t s = 0; s < shardCount(); ++s) {
+        shards_[s].queue = std::make_unique<BoundedQueue<SimTask>>(
             config_.queueCapacity);
-        shards_.push_back(std::move(sh));
+        loadBoard_.push_back(region_.core(s).load());
     }
-    for (const cloud::TenantClass &cls :
-         shards_[0].provider->params().catalog)
-        entryCfgs_.push_back(cls.minCfg);
-    for (const Shard &sh : shards_)
-        loadBoard_.push_back(sh.core->load());
 }
 
 ServiceServer::~ServiceServer()
@@ -278,7 +268,7 @@ ServiceServer::stop()
     parts.reserve(shards_.size());
     for (Shard &sh : shards_)
         parts.push_back(sh.drainPartial);
-    finalReport_ = mergeDrainParts(0, parts);
+    finalReport_ = region_.merge(Op::Drain, 0, parts);
 
     // Phase 4: IO threads flush the outboxes and exit.
     simDone_.store(true, std::memory_order_release);
@@ -384,11 +374,9 @@ ServiceServer::copyLoads()
 }
 
 void
-ServiceServer::enqueueSingle(IoThread &io, Connection &conn,
-                             const Request &req,
+ServiceServer::enqueueSingle(Connection &conn, const Request &req,
                              std::uint32_t shard)
 {
-    (void)io;
     double t0 = traceNowUs();
     SimTask task;
     task.kind = SimTask::Kind::Single;
@@ -413,10 +401,8 @@ ServiceServer::enqueueSingle(IoThread &io, Connection &conn,
 }
 
 void
-ServiceServer::enqueueFanout(IoThread &io, Connection &conn,
-                             const Request &req)
+ServiceServer::enqueueFanout(Connection &conn, const Request &req)
 {
-    (void)io;
     double t0 = traceNowUs();
     std::uint32_t n = shardCount();
     auto fan = std::make_shared<Fanout>();
@@ -459,103 +445,24 @@ ServiceServer::enqueueFanout(IoThread &io, Connection &conn,
 }
 
 void
-ServiceServer::routeRequest(IoThread &io, Connection &conn,
-                            const Request &req)
+ServiceServer::routeRequest(Connection &conn, const Request &req)
 {
-    switch (req.op) {
-      case Op::Ping:
-        enqueueSingle(io, conn, req, 0);
+    Route r = region_.route(req, [this] { return copyLoads(); });
+    switch (r.kind) {
+      case Route::Kind::Answer:
+        respondNow(conn, r.answer);
         return;
-      case Op::Arrive: {
-        // Invalid classes go to shard 0 for the canonical error.
-        std::uint32_t shard = 0;
-        if (req.cls < entryCfgs_.size()) {
-            std::vector<cloud::ShardLoad> loads = copyLoads();
-            std::lock_guard<std::mutex> lock(routerMutex_);
-            shard = router_.chooseShard(entryCfgs_[req.cls], loads);
-        }
-        enqueueSingle(io, conn, req, shard);
+      case Route::Kind::Shard:
+        enqueueSingle(conn, r.request, r.shard);
         return;
-      }
-      case Op::Depart:
-      case Op::Query: {
-        cloud::ShardId shard = cloud::tenantShard(req.tenant);
-        if (shard >= shardCount()) {
-            respondNow(conn,
-                       errorResponse(
-                           req.id, errors::UnknownTenant,
-                           strfmt("tenant %u names shard %u of a "
-                                  "%u-shard region",
-                                  req.tenant, shard,
-                                  shardCount())));
-            return;
-        }
-        enqueueSingle(io, conn, req, shard);
-        return;
-      }
-      case Op::Migrate: {
-        if (shardCount() < 2) {
-            respondNow(conn,
-                       errorResponse(req.id, errors::BadRequest,
-                                     "region has a single shard"));
-            return;
-        }
-        cloud::ShardId from = cloud::tenantShard(req.tenant);
-        if (from >= shardCount()) {
-            respondNow(conn,
-                       errorResponse(
-                           req.id, errors::UnknownTenant,
-                           strfmt("tenant %u names shard %u of a "
-                                  "%u-shard region",
-                                  req.tenant, from, shardCount())));
-            return;
-        }
-        std::uint32_t target = req.to;
-        if (target == Request::kAutoShard) {
-            // Router's choice: the emptiest other shard.
-            std::vector<cloud::ShardLoad> loads = copyLoads();
-            target = from == 0 ? 1 : 0;
-            for (cloud::ShardId s = 0; s < shardCount(); ++s)
-                if (s != from
-                    && loads[s].freeSlices
-                        > loads[target].freeSlices)
-                    target = s;
-        } else if (target >= shardCount()) {
-            respondNow(
-                conn,
-                errorResponse(
-                    req.id, errors::BadRequest,
-                    strfmt("target shard %u out of range (region "
-                           "has %u)",
-                           target, shardCount())));
-            return;
-        } else if (target == from) {
-            respondNow(conn,
-                       errorResponse(
-                           req.id, errors::BadRequest,
-                           strfmt("tenant %u is already on shard "
-                                  "%u",
-                                  req.tenant, target)));
-            return;
-        }
-        Request resolved = req;
-        resolved.to = target;
-        enqueueSingle(io, conn, resolved, from);
-        return;
-      }
-      case Op::Step:
-      case Op::Snapshot:
-      case Op::Drain:
-      case Op::Shards:
-      case Op::RegionSnapshot:
-      case Op::RegionEnergy:
-        enqueueFanout(io, conn, req);
+      case Route::Kind::All:
+        enqueueFanout(conn, r.request);
         return;
     }
 }
 
 void
-ServiceServer::handleFrame(IoThread &io, Connection &conn,
+ServiceServer::handleFrame(Connection &conn,
                            const std::string &payload)
 {
     std::string parse_err;
@@ -594,11 +501,11 @@ ServiceServer::handleFrame(IoThread &io, Connection &conn,
                                  "server is shutting down"));
         return;
     }
-    routeRequest(io, conn, *req);
+    routeRequest(conn, *req);
 }
 
 bool
-ServiceServer::serviceRead(IoThread &io, Connection &conn)
+ServiceServer::serviceRead(Connection &conn)
 {
     char buf[4096];
     while (true) {
@@ -607,7 +514,7 @@ ServiceServer::serviceRead(IoThread &io, Connection &conn)
             conn.lastActivity = Clock::now();
             conn.decoder.feed(buf, static_cast<std::size_t>(n));
             while (auto payload = conn.decoder.next())
-                handleFrame(io, conn, *payload);
+                handleFrame(conn, *payload);
             if (const char *err = conn.decoder.error()) {
                 stats_.protocolErrors.fetch_add(
                     1, std::memory_order_relaxed);
@@ -830,7 +737,7 @@ ServiceServer::ioLoop(std::uint32_t ti)
                 continue;
             }
             if ((ev & EPOLLIN) && !conn.readClosed) {
-                if (!serviceRead(io, conn)) {
+                if (!serviceRead(conn)) {
                     dead.push_back(id);
                     continue;
                 }
@@ -903,121 +810,51 @@ ServiceServer::finalizeFanout(Fanout &fanout)
         return errorResponse(fanout.reqId, code,
                              "queued past the request deadline");
     }
-    switch (fanout.op) {
-      case Op::Step:
-        return mergeStepParts(fanout.reqId, fanout.parts);
-      case Op::Snapshot:
-        return mergeSnapshotParts(fanout.reqId, fanout.parts);
-      case Op::Drain:
-        return mergeDrainParts(fanout.reqId, fanout.parts);
-      case Op::Shards: {
-        RegionStats rs{stats_.migrations.load(),
-                       stats_.rebalances.load()};
-        return mergeShardsParts(
-            fanout.reqId, fanout.parts,
-            cloud::placementPolicyName(config_.placement), rs);
-      }
-      case Op::RegionSnapshot: {
-        RegionStats rs{stats_.migrations.load(),
-                       stats_.rebalances.load()};
-        std::vector<std::uint64_t> routed;
-        {
-            std::lock_guard<std::mutex> lock(routerMutex_);
-            routed = router_.stats().routed;
-        }
-        return mergeRegionSnapshotParts(fanout.reqId,
-                                        fanout.parts, routed, rs);
-      }
-      case Op::RegionEnergy:
-        return mergeEnergyParts(fanout.reqId, fanout.parts);
-      default:
-        return errorResponse(fanout.reqId, errors::BadRequest,
-                             "op cannot fan out");
-    }
+    return region_.merge(fanout.op, fanout.reqId, fanout.parts);
 }
 
 void
-ServiceServer::simHandleMigrateSource(std::uint32_t shard,
-                                      SimTask &task)
+ServiceServer::publishLoad(std::uint32_t shard)
 {
-    Shard &sh = shards_[shard];
-    std::uint32_t local = cloud::tenantLocal(task.request.tenant);
-    const auto &tenants = sh.provider->tenants();
-    if (local >= tenants.size()
-        || tenants[local]->state != cloud::TenantState::Active) {
-        publish(task.connId,
-                encodeFrame(
-                    errorResponse(
-                        task.request.id, errors::UnknownTenant,
-                        strfmt("tenant %u is not active on shard "
-                               "%u",
-                               task.request.tenant, shard))
-                        .dump()));
-        return;
-    }
-    auto snap = sh.core->migrateOut(local);
-    if (!snap) {
-        publish(task.connId,
-                encodeFrame(
-                    errorResponse(
-                        task.request.id, errors::BadRequest,
-                        strfmt("tenant %u is not migratable "
-                               "(request-driven source)",
-                               task.request.tenant))
-                        .dump()));
-        return;
-    }
+    cloud::ShardLoad load = region_.core(shard).load();
+    std::lock_guard<std::mutex> lock(loadMutex_);
+    loadBoard_[shard] = load;
+}
+
+void
+ServiceServer::handOff(std::uint64_t conn_id, Handoff h)
+{
     SimTask mt;
     mt.kind = SimTask::Kind::MigrateIn;
-    mt.connId = task.connId;
-    mt.request.id = task.request.id;
-    mt.snapshotJson = snapshotToJson(*snap).dump();
-    mt.fromShard = shard;
-    mt.stallCycles = snap->stallCycles;
+    mt.connId = conn_id;
+    std::uint32_t to = h.to;
+    mt.handoff = std::move(h);
     pendingTasks_.fetch_add(1, std::memory_order_acq_rel);
-    shards_[task.request.to].queue->pushInternal(std::move(mt));
-}
-
-void
-ServiceServer::simHandleMigrateIn(std::uint32_t shard,
-                                  SimTask &task)
-{
-    Shard &sh = shards_[shard];
-    auto parsed = parseJson(task.snapshotJson);
-    std::optional<cloud::TenantSnapshot> snap =
-        parsed ? snapshotFromJson(*parsed) : std::nullopt;
-    if (!snap)
-        panic("migration snapshot did not round-trip: %s",
-              task.snapshotJson.c_str());
-    std::uint32_t new_id = sh.core->migrateIn(*snap);
-    stats_.migrations.fetch_add(1, std::memory_order_relaxed);
-    CASH_METRIC_INC("service.migrations");
-    if (task.connId == 0)
-        return; // rebalance-triggered: nobody to answer
-    const cloud::Tenant &t =
-        *sh.provider->tenants()[cloud::tenantLocal(new_id)];
-    JsonValue resp = okResponse(task.request.id);
-    resp.set("tenant", JsonValue(new_id));
-    resp.set("from", JsonValue(task.fromShard));
-    resp.set("to", JsonValue(shard));
-    resp.set("stall_cycles", JsonValue(task.stallCycles));
-    resp.set("state", JsonValue(cloud::tenantStateName(t.state)));
-    resp.set("bill", JsonValue(t.bill()));
-    publish(task.connId, encodeFrame(resp.dump()));
+    shards_[to].queue->pushInternal(std::move(mt));
 }
 
 void
 ServiceServer::simHandleTask(std::uint32_t shard, SimTask &task,
                              Clock::time_point now)
 {
-    Shard &sh = shards_[shard];
+    ServiceCore &core = region_.core(shard);
     bool late = config_.requestDeadlineMs > 0
         && task.kind != SimTask::Kind::MigrateIn
         && msBetween(task.enqueued, now) > config_.requestDeadlineMs;
+    auto traced_apply = [&] {
+        double t0 = traceNowUs();
+        JsonValue resp = core.apply(task.request);
+        traceServiceSpan(opName(task.request.op), t0,
+                         {{"conn", task.connId},
+                          {"req", task.request.id},
+                          {"shard", shard}});
+        return resp;
+    };
 
+    JsonValue resp;
+    std::optional<Handoff> handoff;
     switch (task.kind) {
-      case SimTask::Kind::Single: {
-        JsonValue resp;
+      case SimTask::Kind::Single:
         if (late) {
             stats_.deadlineExceeded.fetch_add(
                 1, std::memory_order_relaxed);
@@ -1027,85 +864,42 @@ ServiceServer::simHandleTask(std::uint32_t shard, SimTask &task,
                                  "queued past the request "
                                  "deadline");
         } else if (task.request.op == Op::Migrate) {
-            simHandleMigrateSource(shard, task);
-            return; // the target shard answers
+            std::variant<Handoff, JsonValue> out =
+                core.migrateOut(task.request);
+            if (Handoff *h = std::get_if<Handoff>(&out))
+                handoff = std::move(*h); // the target answers
+            else
+                resp = std::move(std::get<JsonValue>(out));
         } else {
-            double t0 = traceNowUs();
-            resp = sh.core->apply(task.request);
-            traceServiceSpan(opName(task.request.op), t0,
-                             {{"conn", task.connId},
-                              {"req", task.request.id},
-                              {"shard", shard}});
+            resp = traced_apply();
         }
-        publish(task.connId, encodeFrame(resp.dump()));
-        return;
-      }
-      case SimTask::Kind::FanPart: {
+        break;
+      case SimTask::Kind::FanPart:
+        if (late)
+            task.fanout->failCode.store(errors::DeadlineExceeded,
+                                        std::memory_order_relaxed);
+        else
+            task.fanout->parts[shard] = traced_apply();
+        break;
+      case SimTask::Kind::MigrateIn:
+        resp = region_.migrateIn(task.handoff);
+        break;
+    }
+
+    // The load goes on the board before anything answers this task,
+    // so the client's next request is routed on it.
+    publishLoad(shard);
+    if (handoff) {
+        handOff(task.connId, std::move(*handoff));
+    } else if (task.kind == SimTask::Kind::FanPart) {
         Fanout &fan = *task.fanout;
-        if (late) {
-            fan.failCode.store(errors::DeadlineExceeded,
-                               std::memory_order_relaxed);
-        } else {
-            double t0 = traceNowUs();
-            fan.parts[shard] = sh.core->apply(task.request);
-            traceServiceSpan(opName(task.request.op), t0,
-                             {{"conn", task.connId},
-                              {"req", task.request.id},
-                              {"shard", shard}});
-        }
         if (fan.remaining.fetch_sub(1, std::memory_order_acq_rel)
             == 1)
             publish(fan.connId,
                     encodeFrame(finalizeFanout(fan).dump()));
-        return;
-      }
-      case SimTask::Kind::MigrateIn:
-        simHandleMigrateIn(shard, task);
-        return;
+    } else if (task.connId != 0) { // 0: a rebalance, nobody to answer
+        publish(task.connId, encodeFrame(resp.dump()));
     }
-}
-
-void
-ServiceServer::simAfterBatch(std::uint32_t shard)
-{
-    Shard &sh = shards_[shard];
-    std::vector<cloud::ShardLoad> loads;
-    {
-        std::lock_guard<std::mutex> lock(loadMutex_);
-        loadBoard_[shard] = sh.core->load();
-        loads = loadBoard_;
-    }
-    if (shardCount() < 2 || !config_.rebalance.enabled)
-        return;
-    if (stopRequested_.load(std::memory_order_relaxed)
-        || sh.core->draining())
-        return;
-    std::optional<cloud::RebalancePlan> plan;
-    {
-        std::lock_guard<std::mutex> lock(routerMutex_);
-        plan = router_.maybeRebalanceFrom(shard, loads);
-    }
-    if (!plan)
-        return;
-    cloud::TenantId migrant = sh.provider->pickMigrant();
-    if (migrant == cloud::invalidTenant)
-        return;
-    auto snap = sh.core->migrateOut(migrant);
-    if (!snap)
-        return;
-    stats_.rebalances.fetch_add(1, std::memory_order_relaxed);
-    CASH_METRIC_INC("service.rebalances");
-    CASH_TRACE_HOST_SPAN(trace::Category::Service, "rebalance",
-                         traceNowUs(), 0.0,
-                         {{"from", shard}, {"to", plan->to}});
-    SimTask mt;
-    mt.kind = SimTask::Kind::MigrateIn;
-    mt.connId = 0;
-    mt.snapshotJson = snapshotToJson(*snap).dump();
-    mt.fromShard = shard;
-    mt.stallCycles = snap->stallCycles;
-    pendingTasks_.fetch_add(1, std::memory_order_acq_rel);
-    shards_[plan->to].queue->pushInternal(std::move(mt));
 }
 
 void
@@ -1119,20 +913,31 @@ ServiceServer::simLoop(std::uint32_t shard)
                            static_cast<double>(batch.size()));
         double batch_t0 = traceNowUs();
         Clock::time_point now = Clock::now();
-        for (SimTask &task : batch) {
+        for (SimTask &task : batch)
             simHandleTask(shard, task, now);
-            pendingTasks_.fetch_sub(1, std::memory_order_acq_rel);
-        }
         traceServiceSpan("batch", batch_t0,
                          {{"shard", shard},
                           {"requests", batch.size()}});
-        simAfterBatch(shard);
+        // The rebalance hook; shards stop shedding once the fleet
+        // drains.
+        if (!stopRequested_.load(std::memory_order_relaxed))
+            if (auto h = region_.afterBatch(
+                    shard, [this] { return copyLoads(); })) {
+                CASH_TRACE_HOST_SPAN(trace::Category::Service,
+                                     "rebalance", traceNowUs(), 0.0,
+                                     {{"from", shard}, {"to", h->to}});
+                handOff(0, std::move(*h));
+            }
+        // Only now is the batch done: stop() cannot see zero pending
+        // tasks while the hook may still hand a tenant off.
+        pendingTasks_.fetch_sub(static_cast<std::int64_t>(batch.size()),
+                                std::memory_order_acq_rel);
     }
 
     // Queue closed and drained: the fleet-drain path. Finish with
     // this shard's provider drain — final bills, conservation
     // audit — and leave the partial for stop() to aggregate.
-    sh.drainPartial = sh.core->drainReport();
+    sh.drainPartial = region_.core(shard).drainReport();
 }
 
 } // namespace cash::service

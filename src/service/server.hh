@@ -15,19 +15,20 @@
  *    protocol errors and backpressure (`queue_full`) are answered
  *    in place, so a flooding client cannot wedge a simulator.
  *
- *  - `shards` simulation threads each own one CloudProvider (shard
- *    s seeded with params.seed + s) behind a ServiceCore and a
- *    BoundedQueue. Single-shard requests are routed to the owning
- *    shard's queue (arrivals via the PlacementRouter, tenant ops by
- *    the shard byte of the tenant id). Region-wide ops fan out one
- *    part per shard; the last shard to finish merges the partials
- *    (service/region.hh) and publishes the response. Cross-shard
- *    migration is a sim-to-sim hand-off: the source serializes the
- *    tenant (migrateOut → JSON) and pushes a capacity-exempt task
- *    to the target's queue, which replays it (migrateIn) and
- *    responds. Rebalance triggers run on each sim thread after
- *    every batch against a shared load board, planning only
- *    *out-migrations* from that thread's own shard.
+ *  - `shards` simulation threads each own one shard of a
+ *    RegionEngine (service/region.hh) behind a BoundedQueue. The IO
+ *    thread asks the engine where each request goes: an error it
+ *    answers in place, one shard's queue (arrivals placed on the
+ *    shared load board, tenant ops by the shard byte of the tenant
+ *    id), or one part per shard, where the last shard to finish
+ *    merges the parts and publishes the response. Each sim thread
+ *    republishes its shard's load after every task, before anything
+ *    answers that task, so a client's next request is routed on
+ *    current load. Cross-shard migration is a sim-to-sim hand-off:
+ *    the source's migrate-out pushes a capacity-exempt task to the
+ *    target's queue, whose migrate-in responds. After every batch a
+ *    sim thread runs the engine's rebalance hook, which sheds only
+ *    *out of* that thread's own shard.
  *
  * Determinism: each shard's state is a pure function of its applied
  * request sequence. One shard and one client reproduce the PR-5
@@ -56,7 +57,6 @@
 #include <vector>
 
 #include "cloud/placement.hh"
-#include "service/core.hh"
 #include "service/protocol.hh"
 #include "service/queue.hh"
 #include "service/region.hh"
@@ -111,10 +111,6 @@ struct ServerStats
     std::atomic<std::uint64_t> deadlineExceeded{0};
     std::atomic<std::uint64_t> protocolErrors{0};
     std::atomic<std::uint64_t> batches{0};
-    /** Completed cross-shard migrations (explicit + triggered). */
-    std::atomic<std::uint64_t> migrations{0};
-    /** Migrations initiated by the rebalance triggers. */
-    std::atomic<std::uint64_t> rebalances{0};
 };
 
 class ServiceServer
@@ -149,6 +145,8 @@ class ServiceServer
     std::uint16_t tcpPort() const { return boundTcpPort_; }
 
     const ServerStats &stats() const { return stats_; }
+    /** Cross-shard migrations and rebalances so far. */
+    RegionStats regionStats() const { return region_.stats(); }
 
     /** The aggregated region drain report captured by stop()
      *  ({"bills":...,"revenue":...,"departed":...}); null object
@@ -157,16 +155,13 @@ class ServiceServer
 
     const ServerConfig &config() const { return config_; }
 
-    std::uint32_t shardCount() const
-    {
-        return static_cast<std::uint32_t>(shards_.size());
-    }
+    std::uint32_t shardCount() const { return region_.shards(); }
 
     /** Shard s's provider (stable address; read-safe only when its
      *  sim thread is quiesced, e.g. after stop()). */
     const cloud::CloudProvider &provider(std::uint32_t shard) const
     {
-        return *shards_[shard].provider;
+        return region_.provider(shard);
     }
 
   private:
@@ -224,10 +219,7 @@ class ServiceServer
         Request request;
         Clock::time_point enqueued;
         std::shared_ptr<Fanout> fanout;
-        /** MigrateIn: the snapshot JSON text and provenance. */
-        std::string snapshotJson;
-        std::uint32_t fromShard = 0;
-        std::uint64_t stallCycles = 0;
+        Handoff handoff; ///< MigrateIn only
     };
 
     struct Outgoing
@@ -236,11 +228,10 @@ class ServiceServer
         std::string framed;
     };
 
-    /** One simulation shard. */
+    /** One simulation shard's scheduling state (its provider and
+     *  core live in region_). */
     struct Shard
     {
-        std::unique_ptr<cloud::CloudProvider> provider;
-        std::unique_ptr<ServiceCore> core;
         std::unique_ptr<BoundedQueue<SimTask>> queue;
         std::thread thread;
         /** This shard's drain report, written by its sim thread
@@ -267,15 +258,12 @@ class ServiceServer
     void simLoop(std::uint32_t shard);
 
     void acceptPending(int listen_fd);
-    bool serviceRead(IoThread &io, Connection &conn);
-    void handleFrame(IoThread &io, Connection &conn,
-                     const std::string &payload);
-    void routeRequest(IoThread &io, Connection &conn,
-                      const Request &req);
-    void enqueueSingle(IoThread &io, Connection &conn,
-                       const Request &req, std::uint32_t shard);
-    void enqueueFanout(IoThread &io, Connection &conn,
-                       const Request &req);
+    bool serviceRead(Connection &conn);
+    void handleFrame(Connection &conn, const std::string &payload);
+    void routeRequest(Connection &conn, const Request &req);
+    void enqueueSingle(Connection &conn, const Request &req,
+                       std::uint32_t shard);
+    void enqueueFanout(Connection &conn, const Request &req);
     void respondNow(Connection &conn, const JsonValue &resp);
     bool serviceWrite(Connection &conn);
     void closeConnection(IoThread &io, std::uint64_t conn_id);
@@ -291,24 +279,19 @@ class ServiceServer
     /** Sim-thread handlers. */
     void simHandleTask(std::uint32_t shard, SimTask &task,
                        Clock::time_point now);
-    void simHandleMigrateSource(std::uint32_t shard, SimTask &task);
-    void simHandleMigrateIn(std::uint32_t shard, SimTask &task);
-    /** Publish the shard's load and run the rebalance triggers. */
-    void simAfterBatch(std::uint32_t shard);
+    /** Queue a migrate-in on the hand-off's target shard. */
+    void handOff(std::uint64_t conn_id, Handoff h);
+    /** Put the shard's current load on the board. */
+    void publishLoad(std::uint32_t shard);
 
     std::vector<cloud::ShardLoad> copyLoads();
     void wake(std::uint32_t ti);
     void wakeAll();
 
     ServerConfig config_;
+    RegionEngine region_;
     std::vector<Shard> shards_;
     std::vector<std::unique_ptr<IoThread>> ioThreads_;
-    cloud::PlacementRouter router_;
-    std::mutex routerMutex_; ///< guards router_ (stats + cooldowns)
-
-    /** Entry (admission-minimum) config per catalog class, for
-     *  routing arrivals without touching a provider. */
-    std::vector<VCoreConfig> entryCfgs_;
 
     /** Load board: shard s's occupancy as last published by its
      *  sim thread. */

@@ -5,7 +5,8 @@
  * RegionCore request semantics (placement-routed arrivals,
  * cross-shard migration, merged snapshots, aggregated drains), the
  * migration billing algebra, and the threaded epoll server running a
- * real 4-shard region over loopback sockets.
+ * real 4-shard region over loopback sockets — answering a single
+ * client byte for byte like RegionCore.
  *
  * The billing tests pin the economics the region must preserve: a
  * migrated tenant's final bill equals the stay-put bill plus exactly
@@ -214,17 +215,17 @@ TEST(Router, FragmentationTriggerPlansMigrationWithCooldown)
     std::vector<cloud::ShardLoad> loads = {
         loadWith(2, /*round=*/20, /*frag=*/3.5, /*active=*/3),
         loadWith(7, /*round=*/20)};
-    auto plan = router.maybeRebalance(loads);
+    auto plan = router.maybeRebalanceFrom(0, loads);
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->from, 0u);
     EXPECT_EQ(plan->to, 1u);
     EXPECT_STREQ(plan->reason, "frag");
 
     // Cooldown: the same shard may not plan again immediately...
-    EXPECT_FALSE(router.maybeRebalance(loads).has_value());
+    EXPECT_FALSE(router.maybeRebalanceFrom(0, loads).has_value());
     // ...but fires again once the cooldown rounds have passed.
     loads[0].round = loads[1].round = 40;
-    EXPECT_TRUE(router.maybeRebalance(loads).has_value());
+    EXPECT_TRUE(router.maybeRebalanceFrom(0, loads).has_value());
 }
 
 TEST(Router, ImbalanceTriggerMovesFromFullToEmpty)
@@ -239,16 +240,18 @@ TEST(Router, ImbalanceTriggerMovesFromFullToEmpty)
     std::vector<cloud::ShardLoad> loads = {
         loadWith(1, /*round=*/5, /*frag=*/0.0, /*active=*/4),
         loadWith(7, /*round=*/5)};
-    auto plan = router.maybeRebalance(loads);
+    auto plan = router.maybeRebalanceFrom(0, loads);
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->from, 0u);
     EXPECT_EQ(plan->to, 1u);
     EXPECT_STREQ(plan->reason, "imbalance");
+    // Only the crowded end sheds: the empty shard plans nothing.
+    EXPECT_FALSE(router.maybeRebalanceFrom(1, loads).has_value());
 
     // A balanced region plans nothing.
     std::vector<cloud::ShardLoad> even = {
         loadWith(4, 5, 0.0, 2), loadWith(4, 5, 0.0, 2)};
-    EXPECT_FALSE(router.maybeRebalance(even).has_value());
+    EXPECT_FALSE(router.maybeRebalanceFrom(0, even).has_value());
 }
 
 // --- Request grammar (region ops) -------------------------------
@@ -707,7 +710,7 @@ TEST(RegionServer, FourShardsOverLoopbackWithWireMigration)
     ASSERT_NE(report.find("bills"), nullptr);
     EXPECT_EQ(report.find("bills")->items().size(), 6u);
     EXPECT_EQ(report.getUint("departed"), 6u);
-    EXPECT_EQ(server.stats().migrations.load(), 1u);
+    EXPECT_EQ(server.regionStats().migrations, 1u);
 }
 
 TEST(RegionServer, SingleShardRegionSpeaksTheLegacyProtocol)
@@ -738,6 +741,154 @@ TEST(RegionServer, SingleShardRegionSpeaksTheLegacyProtocol)
     server.stop();
     EXPECT_EQ(server.finalReport().getBool("ok"), true);
 }
+
+// --- Twin: both schedulers answer alike --------------------------
+
+/** One single-client request log and RegionCore's answers to it. */
+struct TwinLog
+{
+    std::vector<Request> requests;
+    std::vector<std::string> answers;
+};
+
+/**
+ * Record the twin log against `region`. Later requests name the
+ * tenants earlier answers returned, so the log is built by applying
+ * it. It covers arrivals (one of an out-of-range class), step,
+ * query, depart twice, an auto-target and an explicit migrate,
+ * every migrate error, every region read op, and drain followed by
+ * more traffic.
+ */
+TwinLog
+recordTwinLog(RegionCore &region)
+{
+    TwinLog log;
+    const std::uint32_t n = region.shards();
+    const auto classes = static_cast<std::uint32_t>(
+        region.provider(0).params().catalog.size());
+    auto send = [&](Op op, std::uint32_t tenant = 0,
+                    std::uint32_t arg = 0) {
+        Request r;
+        r.id = log.requests.size() + 1;
+        r.op = op;
+        r.tenant = tenant;
+        if (op == Op::Arrive) {
+            r.cls = arg;
+            r.residence = 300;
+        } else if (op == Op::Step) {
+            r.quanta = arg;
+        } else if (op == Op::Migrate && arg) {
+            r.to = arg - 1; // arg 0 = auto target
+        }
+        JsonValue resp = region.apply(r);
+        log.requests.push_back(r);
+        log.answers.push_back(resp.dump());
+        return resp;
+    };
+    auto tenantOf = [](const JsonValue &resp) {
+        return static_cast<std::uint32_t>(
+            resp.getUint("tenant").value_or(0));
+    };
+
+    send(Op::Ping);
+    std::vector<std::uint32_t> t;
+    for (std::uint32_t c = 0; c < 5; ++c)
+        t.push_back(tenantOf(send(Op::Arrive, 0, c % classes)));
+    send(Op::Arrive, 0, classes); // out-of-range class
+    send(Op::Step, 0, 2);
+    send(Op::Query, t[0]);
+    send(Op::Depart, t[3]);
+    send(Op::Depart, t[3]); // already gone
+    JsonValue moved = send(Op::Migrate, t[0]);
+    JsonValue moved_to = send(Op::Migrate, t[1],
+                              1 + (cloud::tenantShard(t[1]) + 1) % n);
+    EXPECT_EQ(moved.getBool("ok"), n > 1) << moved.dump();
+    EXPECT_EQ(moved_to.getBool("ok"), n > 1) << moved_to.dump();
+    // The migrate errors (a one-shard region refuses them all).
+    send(Op::Migrate, t[2], 1 + 200); // target out of range
+    send(Op::Migrate, t[2], 1 + cloud::tenantShard(t[2])); // same
+    send(Op::Migrate, cloud::regionTenantId(0, 7777)); // unknown
+    send(Op::Migrate, cloud::regionTenantId(9, 0)); // shard byte
+    send(Op::Query, tenantOf(moved));
+    send(Op::Query, t[0]); // the tombstone, when it moved
+    send(Op::Step, 0, 1);
+    send(Op::Snapshot);
+    send(Op::Shards);
+    send(Op::RegionSnapshot);
+    send(Op::RegionEnergy);
+    send(Op::Drain);
+    send(Op::Arrive, 0, 0);
+    send(Op::Step, 0, 1);
+    send(Op::Query, t[4]);
+    send(Op::Migrate, t[4]);
+    send(Op::Snapshot);
+    return log;
+}
+
+struct TwinConfig
+{
+    std::uint32_t shards;
+    std::uint32_t ioThreads;
+    cloud::PlacementPolicy policy;
+};
+
+/** Names each instance in ctest (gtest numbers them). */
+void
+PrintTo(const TwinConfig &tc, std::ostream *os)
+{
+    *os << strfmt("%ushards_%uio_%s", tc.shards, tc.ioThreads,
+                  cloud::placementPolicyName(tc.policy));
+}
+
+class RegionTwinTest : public ::testing::TestWithParam<TwinConfig>
+{};
+
+TEST_P(RegionTwinTest, ServerAnswersByteForByteLikeRegionCore)
+{
+    // Rebalance off: the threaded server's trigger timing depends on
+    // which shard finishes first. RegionCoreTest covers the trigger.
+    const TwinConfig &tc = GetParam();
+    cloud::RebalanceParams off;
+    off.enabled = false;
+    RegionCore region(tinyRegionParams(), tc.shards,
+                      /*audit_each_quantum=*/true, tc.policy, off);
+    TwinLog log = recordTwinLog(region);
+
+    constexpr int kReplays = 10;
+    for (int replay = 0; replay < kReplays; ++replay) {
+        ServerConfig sc;
+        sc.unixPath = testSocketPath(
+            strfmt("twin%u%u", tc.shards,
+                   static_cast<unsigned>(tc.policy))
+                .c_str());
+        sc.audit = true;
+        sc.shards = tc.shards;
+        sc.ioThreads = tc.ioThreads;
+        sc.placement = tc.policy;
+        sc.rebalance = off;
+        ServiceServer server(tinyRegionParams(), sc);
+        server.start();
+        {
+            ServiceClient client =
+                ServiceClient::connectUnix(sc.unixPath);
+            for (std::size_t i = 0; i < log.requests.size(); ++i)
+                ASSERT_EQ(client.call(log.requests[i]).dump(),
+                          log.answers[i])
+                    << "replay " << replay << ", request "
+                    << log.requests[i].toJson().dump();
+        }
+        server.stop();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, RegionTwinTest,
+    ::testing::Values(
+        TwinConfig{1, 1, cloud::PlacementPolicy::BinPack},
+        TwinConfig{2, 1, cloud::PlacementPolicy::BinPack},
+        TwinConfig{2, 1, cloud::PlacementPolicy::Spread},
+        TwinConfig{4, 2, cloud::PlacementPolicy::BinPack},
+        TwinConfig{4, 2, cloud::PlacementPolicy::Spread}));
 
 } // namespace
 } // namespace cash::service

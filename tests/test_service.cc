@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -29,6 +30,7 @@
 #include "service/client.hh"
 #include "service/core.hh"
 #include "service/json.hh"
+#include "service/loadgen.hh"
 #include "service/protocol.hh"
 #include "service/queue.hh"
 #include "service/server.hh"
@@ -967,6 +969,44 @@ TEST(Loopback, StopDrainReportCarriesFinalBills)
 
     // stop() is idempotent.
     server.stop();
+}
+
+TEST(Loadgen, DrawnOpMixFollowsTheFlags)
+{
+    ServerConfig sc;
+    sc.unixPath = testSocketPath("mix");
+    ServiceServer server(tinyServiceParams(), sc);
+    server.start();
+
+    LoadConfig lc;
+    lc.unixPath = sc.unixPath;
+    lc.sessions = 2;
+    lc.requests = 64;
+    lc.classes = 3;
+    // Every session starts owning no tenant; those depart/query
+    // draws must arrive, never step.
+    lc.stepProb = 0.0;
+    lc.seed = 3;
+    LoadReport none = runLoad(lc);
+    EXPECT_EQ(none.dropped(), 0u);
+    EXPECT_EQ(none.steps, 0u);
+    EXPECT_GT(none.arrives, 0u);
+    EXPECT_EQ(none.arrives + none.departs + none.queries
+                  + none.migrates,
+              none.sent);
+
+    // Each draw is a step with probability stepProb whatever the
+    // session owns: a binomial count, held to four sigma.
+    lc.stepProb = 0.5;
+    lc.seed = 4;
+    LoadReport half = runLoad(lc);
+    EXPECT_EQ(half.dropped(), 0u);
+    double n = static_cast<double>(half.sent);
+    EXPECT_NEAR(static_cast<double>(half.steps), 0.5 * n,
+                4.0 * std::sqrt(n * 0.5 * 0.5));
+
+    server.stop();
+    EXPECT_EQ(server.finalReport().getBool("ok"), true);
 }
 
 } // namespace

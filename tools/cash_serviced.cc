@@ -208,6 +208,7 @@ main(int argc, char **argv)
         server.stop();
 
         const service::ServerStats &st = server.stats();
+        const service::RegionStats rs = server.regionStats();
         inform("cash_serviced: %llu request(s) over %llu "
                "connection(s) in %llu batch(es); queue_full=%llu "
                "deadline_exceeded=%llu protocol_errors=%llu "
@@ -222,10 +223,8 @@ main(int argc, char **argv)
                    st.protocolErrors.load()),
                static_cast<unsigned long long>(
                    st.idleClosed.load()),
-               static_cast<unsigned long long>(
-                   st.migrations.load()),
-               static_cast<unsigned long long>(
-                   st.rebalances.load()));
+               static_cast<unsigned long long>(rs.migrations),
+               static_cast<unsigned long long>(rs.rebalances));
 
         // The drain report — final bills, audited — is the daemon's
         // one piece of stdout.
