@@ -102,15 +102,6 @@ SpeedupLearner::speedup(std::size_t k) const
     return qhat(k) / base;
 }
 
-void
-SpeedupLearner::rescale(double factor)
-{
-    if (factor <= 0.0)
-        panic("rescale by non-positive factor %f", factor);
-    for (double &q : qhat_)
-        q *= factor;
-}
-
 bool
 SpeedupLearner::visited(std::size_t k) const
 {

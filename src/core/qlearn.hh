@@ -13,10 +13,12 @@
  * Unvisited configurations carry an analytic prior (monotone in
  * Slices and cache with diminishing returns) so the optimizer has a
  * full table from the first quantum; the prior is replaced by
- * measurements as configurations are exercised. When the Kalman
- * estimator detects a phase change, rescale() shifts the whole
- * table by the base-speed ratio, preserving learned *shape* while
- * tracking the new phase's level.
+ * measurements as configurations are exercised. A phase change
+ * shows up inside update() itself: a measurement that contradicts
+ * its own entry by more than 2x shifts the whole table by that
+ * ratio (throughput QoS), preserving learned *shape* while tracking
+ * the new phase's level; latency QoS instead re-levels only the
+ * unvisited entries through the prior.
  */
 
 #ifndef CASH_CORE_QLEARN_HH
@@ -55,9 +57,6 @@ class SpeedupLearner
 
     /** Learned speedup of k relative to the base configuration. */
     double speedup(std::size_t k) const;
-
-    /** Multiply every estimate by a factor (phase-change rescale). */
-    void rescale(double factor);
 
     /** True if k has ever been measured (vs analytic prior). */
     bool visited(std::size_t k) const;

@@ -315,8 +315,6 @@ CashRuntime::step()
     if (!prev_probe
         && kalman_.innovation() > params_.phaseThreshold) {
         st.phaseDetected = true;
-        if (params_.rescaleOnPhase && b_pre > 1e-12)
-            activeLearner().rescale(b_hat / b_pre);
         CASH_TRACE_INSTANT(trace::Category::Runtime, "phase_change",
                            q_start,
                            {{"vcore", id_},

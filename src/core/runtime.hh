@@ -6,8 +6,9 @@
  *
  *  1. reads the delivered QoS q(t) from the monitor,
  *  2. updates the Kalman estimate of base speed b(t) — a large
- *     innovation flags a phase change, which rescales the learned
- *     speedup table so its shape survives across phases,
+ *     innovation flags a phase change (the learned speedup table
+ *     re-levels itself inside SpeedupLearner::update(), so its
+ *     shape survives across phases),
  *  3. computes the deadbeat speedup command s(t),
  *  4. solves the two-configuration LP for the cheapest schedule
  *     delivering s(t) under the *learned* speedup table,
@@ -65,11 +66,6 @@ struct RuntimeParams
     double controlGain = 0.6;
     /** Relative innovation that signals a phase change. */
     double phaseThreshold = 0.25;
-    /** Rescale the learned table on detected phase changes. Off by
-     *  default: the plant-gain controller already absorbs level
-     *  shifts, and multiplicative rescaling would random-walk the
-     *  estimates of configurations that are rarely visited. */
-    bool rescaleOnPhase = false;
     /** Keep the incumbent over/under configuration when the newly
      *  selected one promises less than this much improvement — a
      *  reconfiguration (cold caches) costs more than a near-tie. */
@@ -267,8 +263,6 @@ class CashRuntime
     bool lastSlotValid_ = false;
     std::uint64_t quantaRun_ = 0;
     double ewmaQ_ = 1.0;
-    /** Alternating slot order (halves steady-state reconfigs). */
-    bool flipOrder_ = false;
     /** Incumbent schedule for stickiness. */
     std::size_t lastOver_ = 0;
     std::size_t lastUnder_ = 0;

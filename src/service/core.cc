@@ -181,9 +181,6 @@ ServiceCore::apply(const Request &req)
                              "migrate needs a region engine");
         break;
     }
-    ++stats_.applied;
-    if (auto ok = resp.getBool("ok"); ok && !*ok)
-        ++stats_.failed;
     maybeAudit();
     return resp;
 }
@@ -284,7 +281,6 @@ ServiceCore::applyStep(const Request &req)
 {
     for (std::uint32_t q = 0; q < req.quanta; ++q) {
         provider_.step();
-        ++stats_.quanta;
         maybeAudit();
     }
     CASH_METRIC_ADD("service.quanta", req.quanta);

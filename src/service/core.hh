@@ -62,14 +62,6 @@ struct Handoff
     std::string snapshotJson;
 };
 
-/** Counters of what the core has applied (single-threaded). */
-struct CoreStats
-{
-    std::uint64_t applied = 0;
-    std::uint64_t failed = 0; ///< responses with ok:false
-    std::uint64_t quanta = 0; ///< provider rounds stepped
-};
-
 class ServiceCore
 {
   public:
@@ -110,7 +102,6 @@ class ServiceCore
     /** True once a drain op (or drainReport) closed admissions. */
     bool draining() const { return provider_.draining(); }
 
-    const CoreStats &stats() const { return stats_; }
     const cloud::CloudProvider &provider() const
     {
         return provider_;
@@ -143,7 +134,6 @@ class ServiceCore
     cloud::CloudProvider &provider_;
     bool audit_;
     cloud::ShardId shardId_;
-    CoreStats stats_;
 };
 
 } // namespace cash::service

@@ -48,10 +48,8 @@ setNonBlocking(int fd)
 double
 traceNowUs()
 {
-#if CASH_TRACE_ENABLED
     if (trace::TraceSession *s = trace::TraceSession::active())
         return s->hostNowUs();
-#endif
     return -1.0;
 }
 
@@ -59,7 +57,6 @@ void
 traceServiceSpan(const char *name, double t0_us,
                  std::initializer_list<trace::Arg> args)
 {
-#if CASH_TRACE_ENABLED
     if (t0_us < 0.0)
         return;
     double t1 = traceNowUs();
@@ -67,11 +64,24 @@ traceServiceSpan(const char *name, double t0_us,
         return;
     trace::emitHostSpan(trace::Category::Service, name, t0_us,
                         t1 - t0_us, args);
-#else
-    (void)name;
-    (void)t0_us;
-    (void)args;
-#endif
+}
+
+/** The backpressure answer, counted. */
+JsonValue
+queueFull(std::uint64_t id)
+{
+    CASH_METRIC_INC("service.queue_full");
+    return errorResponse(id, errors::QueueFull,
+                         "request queue is full; retry");
+}
+
+/** The answer to a request that waited past its deadline, counted. */
+JsonValue
+deadlineExceeded(std::uint64_t id)
+{
+    CASH_METRIC_INC("service.deadline_exceeded");
+    return errorResponse(id, errors::DeadlineExceeded,
+                         "queued past the request deadline");
 }
 
 constexpr int kFlushGraceMs = 2000;
@@ -336,7 +346,6 @@ ServiceServer::acceptPending(int listen_fd)
         conn->fd = fd;
         conn->id = nextConnId_.fetch_add(1);
         conn->lastActivity = Clock::now();
-        stats_.accepted.fetch_add(1, std::memory_order_relaxed);
         CASH_METRIC_INC("service.accepted");
         CASH_TRACE_HOST_SPAN(trace::Category::Service, "accept",
                              traceNowUs(), 0.0,
@@ -363,7 +372,7 @@ void
 ServiceServer::respondNow(Connection &conn, const JsonValue &resp)
 {
     conn.outbox += encodeFrame(resp.dump());
-    stats_.responses.fetch_add(1, std::memory_order_relaxed);
+    CASH_METRIC_INC("service.responses");
 }
 
 std::vector<cloud::ShardLoad>
@@ -386,11 +395,7 @@ ServiceServer::enqueueSingle(Connection &conn, const Request &req,
     pendingTasks_.fetch_add(1, std::memory_order_acq_rel);
     if (!shards_[shard].queue->tryPush(std::move(task))) {
         pendingTasks_.fetch_sub(1, std::memory_order_acq_rel);
-        stats_.queueFull.fetch_add(1, std::memory_order_relaxed);
-        CASH_METRIC_INC("service.queue_full");
-        respondNow(conn,
-                   errorResponse(req.id, errors::QueueFull,
-                                 "request queue is full; retry"));
+        respondNow(conn, queueFull(req.id));
         return;
     }
     ++conn.inFlight;
@@ -405,6 +410,16 @@ ServiceServer::enqueueFanout(Connection &conn, const Request &req)
 {
     double t0 = traceNowUs();
     std::uint32_t n = shardCount();
+    // All or nothing: refuse the op here unless every shard has
+    // room, then push every part past the cap, so no shard applies
+    // a part another shard refused.
+    for (std::uint32_t s = 0; s < n; ++s) {
+        const BoundedQueue<SimTask> &q = *shards_[s].queue;
+        if (q.size() >= q.capacity()) {
+            respondNow(conn, queueFull(req.id));
+            return;
+        }
+    }
     auto fan = std::make_shared<Fanout>();
     fan->connId = conn.id;
     fan->reqId = req.id;
@@ -413,7 +428,7 @@ ServiceServer::enqueueFanout(Connection &conn, const Request &req)
     fan->parts.resize(n);
 
     ++conn.inFlight;
-    bool finalize_here = false;
+    pendingTasks_.fetch_add(n, std::memory_order_acq_rel);
     Clock::time_point now = Clock::now();
     for (std::uint32_t s = 0; s < n; ++s) {
         SimTask task;
@@ -422,21 +437,7 @@ ServiceServer::enqueueFanout(Connection &conn, const Request &req)
         task.request = req;
         task.enqueued = now;
         task.fanout = fan;
-        pendingTasks_.fetch_add(1, std::memory_order_acq_rel);
-        if (shards_[s].queue->tryPush(std::move(task)))
-            continue;
-        pendingTasks_.fetch_sub(1, std::memory_order_acq_rel);
-        fan->failCode.store(errors::QueueFull,
-                            std::memory_order_relaxed);
-        if (fan->remaining.fetch_sub(1, std::memory_order_acq_rel)
-            == 1)
-            finalize_here = true;
-    }
-    if (finalize_here) {
-        // Every shard refused the part (or the last refusal raced
-        // the other shards' completions): respond in place.
-        --conn.inFlight;
-        respondNow(conn, finalizeFanout(*fan));
+        shards_[s].queue->pushInternal(std::move(task));
     }
     traceServiceSpan("fanout", t0,
                      {{"conn", conn.id},
@@ -471,8 +472,6 @@ ServiceServer::handleFrame(Connection &conn,
         // Undecodable JSON inside an intact frame: the stream
         // framing is still sound, but the client is broken enough
         // that continuing only produces more garbage.
-        stats_.protocolErrors.fetch_add(1,
-                                        std::memory_order_relaxed);
         CASH_METRIC_INC("service.protocol_errors");
         respondNow(conn,
                    errorResponse(0, errors::Malformed, parse_err));
@@ -487,13 +486,10 @@ ServiceServer::handleFrame(Connection &conn,
     if (!req) {
         // A well-formed frame with a bad request keeps the
         // connection: the client can correct itself.
-        stats_.protocolErrors.fetch_add(1,
-                                        std::memory_order_relaxed);
         CASH_METRIC_INC("service.protocol_errors");
         respondNow(conn, errorResponse(id, code.c_str(), detail));
         return;
     }
-    stats_.requests.fetch_add(1, std::memory_order_relaxed);
     CASH_METRIC_INC("service.requests");
     if (stopRequested_.load(std::memory_order_relaxed)) {
         respondNow(conn,
@@ -516,8 +512,6 @@ ServiceServer::serviceRead(Connection &conn)
             while (auto payload = conn.decoder.next())
                 handleFrame(conn, *payload);
             if (const char *err = conn.decoder.error()) {
-                stats_.protocolErrors.fetch_add(
-                    1, std::memory_order_relaxed);
                 CASH_METRIC_INC("service.protocol_errors");
                 respondNow(conn,
                            errorResponse(0, err,
@@ -579,7 +573,6 @@ ServiceServer::closeConnection(IoThread &io, std::uint64_t conn_id)
         return;
     ::close(it->second->fd); // closing deregisters from epoll
     io.conns.erase(it);
-    stats_.closed.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
@@ -606,7 +599,7 @@ ServiceServer::collectMailbox(IoThread &io)
         it->second->outbox += out.framed;
         if (it->second->inFlight > 0)
             --it->second->inFlight;
-        stats_.responses.fetch_add(1, std::memory_order_relaxed);
+        CASH_METRIC_INC("service.responses");
     }
 }
 
@@ -766,8 +759,6 @@ ServiceServer::ioLoop(std::uint32_t ti)
                     >= config_.idleTimeoutMs)
                     idle.push_back(kv.first);
             for (std::uint64_t id : idle) {
-                stats_.idleClosed.fetch_add(
-                    1, std::memory_order_relaxed);
                 CASH_METRIC_INC("service.idle_closed");
                 closeConnection(io, id);
             }
@@ -790,27 +781,6 @@ ServiceServer::publish(std::uint64_t conn_id, std::string framed)
         io.outgoing.push_back({conn_id, std::move(framed)});
     }
     wake(owner);
-}
-
-JsonValue
-ServiceServer::finalizeFanout(Fanout &fanout)
-{
-    if (const char *code =
-            fanout.failCode.load(std::memory_order_relaxed)) {
-        if (code == errors::QueueFull) {
-            stats_.queueFull.fetch_add(1,
-                                       std::memory_order_relaxed);
-            CASH_METRIC_INC("service.queue_full");
-            return errorResponse(fanout.reqId, code,
-                                 "request queue is full; retry");
-        }
-        stats_.deadlineExceeded.fetch_add(
-            1, std::memory_order_relaxed);
-        CASH_METRIC_INC("service.deadline_exceeded");
-        return errorResponse(fanout.reqId, code,
-                             "queued past the request deadline");
-    }
-    return region_.merge(fanout.op, fanout.reqId, fanout.parts);
 }
 
 void
@@ -856,13 +826,7 @@ ServiceServer::simHandleTask(std::uint32_t shard, SimTask &task,
     switch (task.kind) {
       case SimTask::Kind::Single:
         if (late) {
-            stats_.deadlineExceeded.fetch_add(
-                1, std::memory_order_relaxed);
-            CASH_METRIC_INC("service.deadline_exceeded");
-            resp = errorResponse(task.request.id,
-                                 errors::DeadlineExceeded,
-                                 "queued past the request "
-                                 "deadline");
+            resp = deadlineExceeded(task.request.id);
         } else if (task.request.op == Op::Migrate) {
             std::variant<Handoff, JsonValue> out =
                 core.migrateOut(task.request);
@@ -874,13 +838,17 @@ ServiceServer::simHandleTask(std::uint32_t shard, SimTask &task,
             resp = traced_apply();
         }
         break;
-      case SimTask::Kind::FanPart:
-        if (late)
-            task.fanout->failCode.store(errors::DeadlineExceeded,
-                                        std::memory_order_relaxed);
-        else
+      case SimTask::Kind::FanPart: {
+        // The first shard to dequeue a part decides on time or late
+        // for every part, so a region op applies on all shards or
+        // on none.
+        int undecided = -1;
+        task.fanout->late.compare_exchange_strong(
+            undecided, late ? 1 : 0, std::memory_order_acq_rel);
+        if (task.fanout->late.load(std::memory_order_acquire) == 0)
             task.fanout->parts[shard] = traced_apply();
         break;
+      }
       case SimTask::Kind::MigrateIn:
         resp = region_.migrateIn(task.handoff);
         break;
@@ -894,9 +862,12 @@ ServiceServer::simHandleTask(std::uint32_t shard, SimTask &task,
     } else if (task.kind == SimTask::Kind::FanPart) {
         Fanout &fan = *task.fanout;
         if (fan.remaining.fetch_sub(1, std::memory_order_acq_rel)
-            == 1)
-            publish(fan.connId,
-                    encodeFrame(finalizeFanout(fan).dump()));
+            == 1) {
+            resp = fan.late.load(std::memory_order_relaxed) == 1
+                ? deadlineExceeded(fan.reqId)
+                : region_.merge(fan.op, fan.reqId, fan.parts);
+            publish(fan.connId, encodeFrame(resp.dump()));
+        }
     } else if (task.connId != 0) { // 0: a rebalance, nobody to answer
         publish(task.connId, encodeFrame(resp.dump()));
     }
@@ -908,7 +879,6 @@ ServiceServer::simLoop(std::uint32_t shard)
     Shard &sh = shards_[shard];
     std::vector<SimTask> batch;
     while (sh.queue->popBatch(batch, config_.maxBatch)) {
-        stats_.batches.fetch_add(1, std::memory_order_relaxed);
         CASH_METRIC_SAMPLE("service.batch_size",
                            static_cast<double>(batch.size()));
         double batch_t0 = traceNowUs();

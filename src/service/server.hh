@@ -21,7 +21,10 @@
  *    answers in place, one shard's queue (arrivals placed on the
  *    shared load board, tenant ops by the shard byte of the tenant
  *    id), or one part per shard, where the last shard to finish
- *    merges the parts and publishes the response. Each sim thread
+ *    merges the parts and publishes the response. A fanned-out op
+ *    is all or nothing: it is refused unless every queue has room,
+ *    and the first shard to dequeue a part decides for all of them
+ *    whether it missed its deadline. Each sim thread
  *    republishes its shard's load after every task, before anything
  *    answers that task, so a client's next request is routed on
  *    current load. Cross-shard migration is a sim-to-sim hand-off:
@@ -75,7 +78,10 @@ struct ServerConfig
     bool listenTcp = false;
     std::uint16_t tcpPort = 0;
     /** Per-shard request-queue bound: beyond this the front-end
-     *  answers `queue_full`. */
+     *  answers `queue_full`. A region op needs room on every shard
+     *  and then enqueues on all of them at once, so a queue can
+     *  exceed the bound by one part per other IO thread (and by the
+     *  capacity-exempt migration hand-offs). */
     std::size_t queueCapacity = 256;
     /** Simulation-thread batch bound per queue drain. */
     std::size_t maxBatch = 64;
@@ -97,20 +103,6 @@ struct ServerConfig
         cloud::PlacementPolicy::BinPack;
     /** Migration-trigger tunables (ignored with one shard). */
     cloud::RebalanceParams rebalance;
-};
-
-/** Front-end accounting (atomics: many writer threads). */
-struct ServerStats
-{
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> closed{0};
-    std::atomic<std::uint64_t> idleClosed{0};
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> responses{0};
-    std::atomic<std::uint64_t> queueFull{0};
-    std::atomic<std::uint64_t> deadlineExceeded{0};
-    std::atomic<std::uint64_t> protocolErrors{0};
-    std::atomic<std::uint64_t> batches{0};
 };
 
 class ServiceServer
@@ -144,7 +136,6 @@ class ServiceServer
     /** The bound TCP port (after start(); 0 if TCP is off). */
     std::uint16_t tcpPort() const { return boundTcpPort_; }
 
-    const ServerStats &stats() const { return stats_; }
     /** Cross-shard migrations and rebalances so far. */
     RegionStats regionStats() const { return region_.stats(); }
 
@@ -199,8 +190,10 @@ class ServiceServer
         std::uint64_t reqId = 0;
         Op op = Op::Snapshot;
         std::atomic<std::uint32_t> remaining{0};
-        /** First failure (errors::* constant), if any. */
-        std::atomic<const char *> failCode{nullptr};
+        /** -1 until the first shard to dequeue a part decides for
+         *  every part: 0 = all apply, 1 = past the request deadline,
+         *  none does. */
+        std::atomic<int> late{-1};
         /** One slot per shard; each sim thread writes only its
          *  own (publication order via `remaining`). */
         std::vector<JsonValue> parts;
@@ -270,9 +263,6 @@ class ServiceServer
     void collectMailbox(IoThread &io);
     void updateInterest(IoThread &io, Connection &conn);
 
-    /** Merge (or fail) a completed fanout into its response. */
-    JsonValue finalizeFanout(Fanout &fanout);
-
     /** Hand a framed response to the owner IO thread. */
     void publish(std::uint64_t conn_id, std::string framed);
 
@@ -314,7 +304,6 @@ class ServiceServer
     std::atomic<bool> stopped_{false};
     std::mutex stopMutex_; ///< serializes stop() callers
 
-    ServerStats stats_;
     JsonValue finalReport_;
 };
 

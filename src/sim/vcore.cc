@@ -433,7 +433,6 @@ VirtualCore::processInst(const MicroOp &op)
     // clock is the reference clock divided by the P-state divider).
     Cycle issue = std::max(d + freqDiv_, ready);
     Cycle complete = issue;
-    bool mispredicted = false;
 
     switch (op.op) {
       case OpClass::IntAlu:
@@ -473,7 +472,6 @@ VirtualCore::processInst(const MicroOp &op)
         BranchOutcome bo = bpred_.predictAndTrain(op.pc, op.taken);
         if (!bo.directionCorrect) {
             ++sc.ctrs.branchMispredicts;
-            mispredicted = true;
             fetchRedirect_ = std::max(
                 fetchRedirect_, complete + dMispredictRestart_);
         } else if (op.taken && !bo.btbHit) {
@@ -571,7 +569,6 @@ VirtualCore::processInst(const MicroOp &op)
         requestLatencySum_ += lat;
         sc.ctrs.requestLatencySum += lat;
     }
-    (void)mispredicted;
 
     if (source_)
         source_->onCommit(op, commit);

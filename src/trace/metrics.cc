@@ -114,8 +114,10 @@ Histogram::reset()
 MetricsRegistry &
 MetricsRegistry::global()
 {
-    static MetricsRegistry registry;
-    return registry;
+    // Never destroyed: the always-on metric sites hold references
+    // into it and may still run during static destruction.
+    static MetricsRegistry *registry = new MetricsRegistry();
+    return *registry;
 }
 
 Counter &

@@ -5,11 +5,14 @@
  * MetricsRegistry is the aggregate side of the trace subsystem:
  * where TraceSession records *individual* events on a timeline, the
  * registry accumulates totals — how many reconfigurations, the
- * distribution of flush costs, how many tenants were rejected. The
- * CASH_METRIC_* macros gate on the same runtime switch as the
- * CASH_TRACE_* ones (an installed TraceSession) and compile out with
- * the same CMake option, so the disabled cost is identical: one
- * relaxed atomic load per site.
+ * distribution of flush costs, how many requests the daemon
+ * answered. It is the repo's one counter path, and it is always on:
+ * no session is needed, and nothing compiles it out.
+ *
+ * Each CASH_METRIC_* site resolves its metric once, on first use,
+ * into a function-local static reference; every later call is one
+ * relaxed fetch_add (counters) or one per-histogram lock (histograms),
+ * with no name lookup, string or registry mutex.
  *
  * Determinism: counter increments commute and histogram bins
  * commute, so metric values are identical at any thread count —
@@ -33,8 +36,6 @@
 #include <ostream>
 #include <string>
 #include <vector>
-
-#include "trace/trace.hh"
 
 namespace cash::trace
 {
@@ -157,41 +158,28 @@ class MetricsRegistry
 
 } // namespace cash::trace
 
-#if CASH_TRACE_ENABLED
-
-/** Bump a named counter by 1 (only while a session is installed). */
-#define CASH_METRIC_INC(name)                                         \
-    do {                                                              \
-        if (CASH_TRACE_ON())                                          \
-            ::cash::trace::MetricsRegistry::global()                  \
-                .counter(name)                                        \
-                .inc();                                               \
-    } while (0)
+// The metric name must be a string literal ("" name "" fails to
+// compile otherwise): each site resolves it once and keeps the handle.
 
 /** Add `by` to a named counter. */
 #define CASH_METRIC_ADD(name, by)                                     \
     do {                                                              \
-        if (CASH_TRACE_ON())                                          \
-            ::cash::trace::MetricsRegistry::global()                  \
-                .counter(name)                                        \
-                .inc(by);                                             \
+        static ::cash::trace::Counter &cash_metric_ =                 \
+            ::cash::trace::MetricsRegistry::global().counter(         \
+                "" name "");                                          \
+        cash_metric_.inc(by);                                         \
     } while (0)
+
+/** Bump a named counter by 1. */
+#define CASH_METRIC_INC(name) CASH_METRIC_ADD(name, 1)
 
 /** Record one sample into a named histogram. */
 #define CASH_METRIC_SAMPLE(name, value)                               \
     do {                                                              \
-        if (CASH_TRACE_ON())                                          \
-            ::cash::trace::MetricsRegistry::global()                  \
-                .histogram(name)                                      \
-                .sample(value);                                       \
+        static ::cash::trace::Histogram &cash_metric_ =               \
+            ::cash::trace::MetricsRegistry::global().histogram(       \
+                "" name "");                                          \
+        cash_metric_.sample(value);                                   \
     } while (0)
-
-#else
-
-#define CASH_METRIC_INC(name) ((void)0)
-#define CASH_METRIC_ADD(name, by) ((void)0)
-#define CASH_METRIC_SAMPLE(name, value) ((void)0)
-
-#endif // CASH_TRACE_ENABLED
 
 #endif // CASH_TRACE_METRICS_HH

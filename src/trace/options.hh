@@ -70,9 +70,6 @@ class TraceOptions
         argc = out;
         if (tracePath_.empty() && metricsPath_.empty())
             return;
-        if (!compiledIn)
-            warn("built with CASH_TRACE=OFF: --trace/--metrics "
-                 "output will be empty");
         session_ = std::make_unique<TraceSession>();
         session_->install();
     }

@@ -7,16 +7,14 @@
  * misbehaving reconfiguration or a consolidation anomaly needs
  * per-decision telemetry across src/core, src/sim, src/fabric and
  * src/cloud. This header provides the hooks the hot layers emit
- * into, mirroring the CASH_INVARIANT idiom of check/invariant.hh:
+ * into:
  *
- *  - CASH_TRACE_* macros — compiled to nothing when the build sets
- *    -DCASH_TRACE_ENABLED=0 (CMake option CASH_TRACE, ON by
- *    default). Compiled in, each expands to one relaxed atomic load
- *    and a branch when no TraceSession is installed, so instrumented
- *    binaries stay within noise of uninstrumented ones (the
- *    instrumentation sites are all on control paths — per quantum,
- *    per reconfiguration, per tenant event — never in SSim's
- *    per-instruction loop).
+ *  - CASH_TRACE_* macros — each expands to one relaxed atomic load
+ *    and a branch when no TraceSession is installed; the event's
+ *    arguments are evaluated only while one is. The sites are all
+ *    on control paths — per quantum, per reconfiguration, per
+ *    tenant event — never in SSim's per-instruction loop. (The
+ *    always-on counters beside them live in trace/metrics.hh.)
  *  - TraceSession — per-thread, lock-free ring buffers the emit
  *    path writes into. Threads register their buffer once (mutex),
  *    then every emit is a single-producer ring push. One session is
@@ -48,15 +46,8 @@
 
 #include "common/types.hh"
 
-#ifndef CASH_TRACE_ENABLED
-#define CASH_TRACE_ENABLED 1
-#endif
-
 namespace cash::trace
 {
-
-/** True in builds whose CASH_TRACE CMake option was left ON. */
-constexpr bool compiledIn = CASH_TRACE_ENABLED != 0;
 
 /** Event category: which layer emitted the event. */
 enum class Category : std::uint8_t
@@ -278,8 +269,8 @@ class TrackScope
 /** Register a name for the calling thread's current track. */
 void nameCurrentTrack(const std::string &name);
 
-// --- emit functions (call through the CASH_TRACE_* macros so call
-// sites compile out with the CMake option) ---
+// --- emit functions (call through the CASH_TRACE_* macros, which
+// skip the call and its arguments while no session is installed) ---
 
 /** Point event at simulated time `ts` (cycles). */
 void emitInstant(Category cat, const char *name, Cycle ts,
@@ -301,9 +292,7 @@ void emitHostSpan(Category cat, const char *name, double ts_us,
 
 } // namespace cash::trace
 
-#if CASH_TRACE_ENABLED
-
-/** True when tracing is compiled in AND a session is installed. */
+/** True when a session is installed. */
 #define CASH_TRACE_ON() (::cash::trace::tracingActive())
 
 /** Emit hooks: arguments are not evaluated unless a session is
@@ -331,15 +320,5 @@ void emitHostSpan(Category cat, const char *name, double ts_us,
         if (CASH_TRACE_ON())                                          \
             ::cash::trace::emitHostSpan(__VA_ARGS__);                 \
     } while (0)
-
-#else
-
-#define CASH_TRACE_ON() false
-#define CASH_TRACE_INSTANT(...) ((void)0)
-#define CASH_TRACE_SPAN(...) ((void)0)
-#define CASH_TRACE_COUNTER(...) ((void)0)
-#define CASH_TRACE_HOST_SPAN(...) ((void)0)
-
-#endif // CASH_TRACE_ENABLED
 
 #endif // CASH_TRACE_TRACE_HH

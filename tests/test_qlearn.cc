@@ -63,16 +63,6 @@ TEST(QLearn, SpeedupRelativeToBase)
     EXPECT_NEAR(l.speedup(0), 1.0, 1e-12);
 }
 
-TEST(QLearn, RescaleShiftsEverything)
-{
-    SpeedupLearner l(space(), 0.3);
-    l.update(3, 1.0);
-    double q5 = l.qhat(5);
-    l.rescale(2.0);
-    EXPECT_DOUBLE_EQ(l.qhat(3), 2.0);
-    EXPECT_DOUBLE_EQ(l.qhat(5), 2.0 * q5);
-}
-
 TEST(QLearn, NoPropagationByDefault)
 {
     SpeedupLearner l(space(), 0.3);

@@ -192,8 +192,9 @@ TEST_P(RegfileShrinkTest, SequentialShrinksStaySane)
         EXPECT_LE(flushed, params().archRegs);
         for (std::uint8_t reg = 0; reg < 32; ++reg) {
             std::uint32_t p = rs.primaryWriter(reg);
-            if (p != ~std::uint32_t(0))
+            if (p != ~std::uint32_t(0)) {
                 EXPECT_LT(p, n);
+            }
         }
     }
 }

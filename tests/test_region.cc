@@ -18,7 +18,9 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/audit.hh"
@@ -740,6 +742,83 @@ TEST(RegionServer, SingleShardRegionSpeaksTheLegacyProtocol)
     }
     server.stop();
     EXPECT_EQ(server.finalReport().getBool("ok"), true);
+}
+
+// --- Fan-outs: every shard or none ------------------------------
+
+/**
+ * Pipeline 24 steps, a few ms apart, at a 2-shard region whose four
+ * tenants all sit on shard 0, so shard 0 falls behind while shard 1
+ * keeps up. A step applies on both shards or on neither: afterwards
+ * the shards' rounds agree and equal the ok answers, and every other
+ * answer is `error`.
+ */
+void
+expectStepsAllOrNothing(ServerConfig sc, const char *error)
+{
+    constexpr unsigned kSteps = 24;
+    sc.shards = 2;
+    sc.placement = cloud::PlacementPolicy::BinPack;
+    sc.rebalance.enabled = false;
+    cloud::ProviderParams params;
+    params.arrivalProb = 0.0;
+    ServiceServer server(params, sc);
+    server.start();
+    {
+        ServiceClient client =
+            ServiceClient::connectUnix(sc.unixPath);
+        for (std::uint32_t cls = 0; cls < 4; ++cls) {
+            JsonValue resp = client.arrive(cls, 1000);
+            ASSERT_EQ(resp.getBool("ok"), true);
+            EXPECT_EQ(resp.getUint("shard"), 0u);
+        }
+        Request step;
+        step.op = Op::Step;
+        for (unsigned i = 0; i < kSteps; ++i) {
+            client.send(step);
+            // Spaced so shard 1 drains between steps, as a paced
+            // client's would.
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+        unsigned ok = 0, refused = 0;
+        for (unsigned i = 0; i < kSteps; ++i) {
+            JsonValue resp = client.next();
+            if (resp.getBool("ok") == true)
+                ++ok;
+            else if (resp.getString("error") == error)
+                ++refused;
+        }
+        EXPECT_EQ(ok + refused, kSteps);
+
+        JsonValue rs = client.regionSnapshot();
+        ASSERT_EQ(rs.getBool("ok"), true);
+        const JsonValue *per_shard = rs.find("per_shard");
+        ASSERT_NE(per_shard, nullptr);
+        ASSERT_EQ(per_shard->items().size(), 2u);
+        auto r0 = per_shard->items()[0].getUint("round");
+        auto r1 = per_shard->items()[1].getUint("round");
+        EXPECT_EQ(r0, r1) << ok << " ok, " << refused << " " << error;
+        EXPECT_EQ(r0, ok);
+    }
+    server.stop();
+    EXPECT_EQ(server.finalReport().getBool("ok"), true);
+}
+
+TEST(RegionServer, FanoutRefusalAppliesNowhere)
+{
+    ServerConfig sc;
+    sc.unixPath = testSocketPath("fanfull");
+    sc.queueCapacity = 1;
+    sc.maxBatch = 1;
+    expectStepsAllOrNothing(sc, errors::QueueFull);
+}
+
+TEST(RegionServer, FanoutDeadlineIsAllOrNothing)
+{
+    ServerConfig sc;
+    sc.unixPath = testSocketPath("fanlate");
+    sc.requestDeadlineMs = 20;
+    expectStepsAllOrNothing(sc, errors::DeadlineExceeded);
 }
 
 // --- Twin: both schedulers answer alike --------------------------

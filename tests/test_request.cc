@@ -108,8 +108,9 @@ TEST(Request, IdleWhenQueueEmpty)
     p.baseRatePerMcycle = 0.5; // sparse
     RequestSource src(p, 7);
     FetchResult fr = src.next(0);
-    if (fr.kind == FetchResult::Kind::IdleUntil)
+    if (fr.kind == FetchResult::Kind::IdleUntil) {
         EXPECT_GT(fr.idleUntil, 0u);
+    }
 }
 
 TEST(Request, MinimumSizeEnforced)

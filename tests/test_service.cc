@@ -34,6 +34,7 @@
 #include "service/protocol.hh"
 #include "service/queue.hh"
 #include "service/server.hh"
+#include "trace/metrics.hh"
 
 namespace cash::service
 {
@@ -469,9 +470,6 @@ TEST(Core, TenantLifecycleThroughRequests)
     resp = core.apply(depart);
     ASSERT_EQ(resp.getBool("ok"), false);
     EXPECT_EQ(resp.getString("error"), errors::UnknownTenant);
-
-    EXPECT_EQ(core.stats().applied, 5u);
-    EXPECT_EQ(core.stats().failed, 1u);
 }
 
 TEST(Core, SnapshotReportsOccupancy)
@@ -559,6 +557,15 @@ testSocketPath(const char *tag)
                   static_cast<int>(::getpid()), tag);
 }
 
+/** A service counter's current value. The registry is process-wide
+ *  and outlives every server, so tests compare readings taken
+ *  before start() and after stop(). */
+std::uint64_t
+metric(const char *name)
+{
+    return trace::MetricsRegistry::global().counter(name).value();
+}
+
 /** Raw framed connection for hostile-input tests: no client-side
  *  validation, so we can put anything on the wire. */
 class RawConn
@@ -633,6 +640,8 @@ TEST(Loopback, SynchronousSessionOverUnixSocket)
     sc.unixPath = testSocketPath("sync");
     sc.audit = true;
     ServiceServer server(tinyServiceParams(), sc);
+    const std::uint64_t requests0 = metric("service.requests");
+    const std::uint64_t responses0 = metric("service.responses");
     server.start();
 
     {
@@ -661,8 +670,8 @@ TEST(Loopback, SynchronousSessionOverUnixSocket)
 
     server.stop();
     EXPECT_EQ(server.finalReport().getBool("ok"), true);
-    EXPECT_EQ(server.stats().requests.load(),
-              server.stats().responses.load());
+    EXPECT_EQ(metric("service.requests") - requests0, 6u);
+    EXPECT_EQ(metric("service.responses") - responses0, 6u);
 }
 
 TEST(Loopback, TcpEphemeralPort)
@@ -719,6 +728,9 @@ TEST(Loopback, ConcurrentClientsAllGetAnswers)
     ServerConfig sc;
     sc.unixPath = testSocketPath("conc");
     ServiceServer server(tinyServiceParams(), sc);
+    const std::uint64_t requests0 = metric("service.requests");
+    const std::uint64_t responses0 = metric("service.responses");
+    const std::uint64_t errors0 = metric("service.protocol_errors");
     server.start();
 
     constexpr unsigned kClients = 8;
@@ -774,11 +786,10 @@ TEST(Loopback, ConcurrentClientsAllGetAnswers)
     // The drain report is the billing-conservation gate: drain()
     // plus auditProvider ran inside stop().
     EXPECT_EQ(server.finalReport().getBool("ok"), true);
-    EXPECT_EQ(server.stats().requests.load(),
-              static_cast<std::uint64_t>(kClients) * kCalls);
-    EXPECT_EQ(server.stats().requests.load(),
-              server.stats().responses.load());
-    EXPECT_EQ(server.stats().protocolErrors.load(), 0u);
+    const std::uint64_t requests = metric("service.requests") - requests0;
+    EXPECT_EQ(requests, static_cast<std::uint64_t>(kClients) * kCalls);
+    EXPECT_EQ(metric("service.responses") - responses0, requests);
+    EXPECT_EQ(metric("service.protocol_errors") - errors0, 0u);
 }
 
 TEST(Loopback, QueueFullIsAnsweredNotDropped)
@@ -788,8 +799,10 @@ TEST(Loopback, QueueFullIsAnsweredNotDropped)
     sc.queueCapacity = 1;
     sc.maxBatch = 1;
     ServiceServer server(tinyServiceParams(), sc);
+    const std::uint64_t full0 = metric("service.queue_full");
     server.start();
 
+    unsigned full = 0;
     {
         ServiceClient client =
             ServiceClient::connectUnix(sc.unixPath);
@@ -808,7 +821,7 @@ TEST(Loopback, QueueFullIsAnsweredNotDropped)
         for (unsigned i = 0; i < kBurst; ++i)
             client.send(ping);
 
-        unsigned oks = 0, full = 0;
+        unsigned oks = 0;
         for (unsigned i = 0; i < kBurst + 1; ++i) {
             JsonValue resp = client.next();
             if (resp.getBool("ok") == true) {
@@ -821,10 +834,10 @@ TEST(Loopback, QueueFullIsAnsweredNotDropped)
         }
         EXPECT_EQ(oks + full, kBurst + 1);
         EXPECT_EQ(client.received(), kBurst + 1);
-        EXPECT_EQ(server.stats().queueFull.load(), full);
     }
     server.stop();
     EXPECT_EQ(server.finalReport().getBool("ok"), true);
+    EXPECT_EQ(metric("service.queue_full") - full0, full);
 }
 
 TEST(Loopback, MalformedJsonGetsErrorThenClose)
@@ -832,6 +845,7 @@ TEST(Loopback, MalformedJsonGetsErrorThenClose)
     ServerConfig sc;
     sc.unixPath = testSocketPath("badjson");
     ServiceServer server(tinyServiceParams(), sc);
+    const std::uint64_t errors0 = metric("service.protocol_errors");
     server.start();
 
     {
@@ -864,7 +878,7 @@ TEST(Loopback, MalformedJsonGetsErrorThenClose)
     }
 
     server.stop();
-    EXPECT_GE(server.stats().protocolErrors.load(), 1u);
+    EXPECT_GE(metric("service.protocol_errors") - errors0, 1u);
 }
 
 TEST(Loopback, OversizedAndEmptyFramesAreRejected)

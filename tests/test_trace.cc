@@ -32,8 +32,6 @@
 using namespace cash;
 using namespace cash::trace;
 
-#if CASH_TRACE_ENABLED
-
 namespace
 {
 
@@ -265,7 +263,6 @@ TEST(TraceSession, DisabledEmitsAreNoOps)
     EXPECT_FALSE(CASH_TRACE_ON());
     // Must not crash or allocate a buffer anywhere.
     CASH_TRACE_INSTANT(Category::Runtime, "ignored", 1);
-    CASH_METRIC_INC("ignored.counter");
     TraceSession session;
     EXPECT_TRUE(session.drain().empty());
 }
@@ -581,14 +578,33 @@ TEST(Metrics, CountersAndHistograms)
     EXPECT_EQ(reg.counter("m.counter").value(), 0u);
 }
 
-#else // !CASH_TRACE_ENABLED
-
-TEST(TraceDisabled, MacrosCompileToNothing)
+TEST(Metrics, CountWithoutASession)
 {
-    EXPECT_FALSE(CASH_TRACE_ON());
-    CASH_TRACE_INSTANT(cash::trace::Category::Runtime, "gone", 1);
-    CASH_METRIC_INC("gone");
-    SUCCEED();
-}
+    ASSERT_EQ(TraceSession::active(), nullptr);
+    auto &reg = MetricsRegistry::global();
+    const Counter &counter = reg.counter("nosession.counter");
+    const Histogram &hist = reg.histogram("nosession.hist");
+    const std::uint64_t before = counter.value();
+    const std::uint64_t samples = hist.count();
+    // The same three call sites run before and after a reset, so
+    // the handles they resolved on their first run keep counting.
+    auto bump = [] {
+        CASH_METRIC_INC("nosession.counter");
+        CASH_METRIC_ADD("nosession.counter", 4);
+        CASH_METRIC_SAMPLE("nosession.hist", 2.5);
+    };
+    bump();
+    bump();
+    EXPECT_EQ(counter.value(), before + 10);
+    EXPECT_EQ(hist.count(), samples + 2);
 
-#endif // CASH_TRACE_ENABLED
+    // A session still starts from zero.
+    TraceSession session;
+    session.install();
+    session.uninstall();
+    EXPECT_EQ(counter.value(), 0u);
+    EXPECT_EQ(hist.count(), 0u);
+    bump();
+    EXPECT_EQ(counter.value(), 5u);
+    EXPECT_EQ(hist.count(), 1u);
+}

@@ -207,22 +207,23 @@ main(int argc, char **argv)
         inform("cash_serviced: draining...");
         server.stop();
 
-        const service::ServerStats &st = server.stats();
+        auto &reg = trace::MetricsRegistry::global();
+        auto count = [&reg](const char *name) {
+            return static_cast<unsigned long long>(
+                reg.counter(name).value());
+        };
         const service::RegionStats rs = server.regionStats();
         inform("cash_serviced: %llu request(s) over %llu "
                "connection(s) in %llu batch(es); queue_full=%llu "
                "deadline_exceeded=%llu protocol_errors=%llu "
                "idle_closed=%llu migrations=%llu rebalances=%llu",
-               static_cast<unsigned long long>(st.requests.load()),
-               static_cast<unsigned long long>(st.accepted.load()),
-               static_cast<unsigned long long>(st.batches.load()),
-               static_cast<unsigned long long>(st.queueFull.load()),
+               count("service.requests"), count("service.accepted"),
                static_cast<unsigned long long>(
-                   st.deadlineExceeded.load()),
-               static_cast<unsigned long long>(
-                   st.protocolErrors.load()),
-               static_cast<unsigned long long>(
-                   st.idleClosed.load()),
+                   reg.histogram("service.batch_size").count()),
+               count("service.queue_full"),
+               count("service.deadline_exceeded"),
+               count("service.protocol_errors"),
+               count("service.idle_closed"),
                static_cast<unsigned long long>(rs.migrations),
                static_cast<unsigned long long>(rs.rebalances));
 
