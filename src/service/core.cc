@@ -127,8 +127,10 @@ ServiceCore::ServiceCore(cloud::CloudProvider &provider,
                          bool audit_each_quantum,
                          cloud::ShardId shard_id)
     : provider_(provider), audit_(audit_each_quantum),
-      shardId_(shard_id)
-{}
+      shardId_(shard_id), view_(std::make_shared<ShardView>())
+{
+    publishView();
+}
 
 void
 ServiceCore::maybeAudit()
@@ -137,23 +139,87 @@ ServiceCore::maybeAudit()
         auditProvider(provider_);
 }
 
+std::shared_ptr<const ShardView>
+ServiceCore::view() const
+{
+    std::lock_guard<std::mutex> lock(viewMutex_);
+    return view_;
+}
+
+void
+ServiceCore::publishView()
+{
+    std::shared_ptr<const ShardView> prev = view();
+    auto next = std::make_shared<ShardView>();
+    next->round = provider_.round();
+    next->load = cloud::loadOf(provider_);
+    const auto &tenants = provider_.tenants();
+    next->tenants.reserve(tenants.size());
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+        if (i < prev->tenants.size() && prev->tenants[i]->isFinal()) {
+            next->tenants.push_back(prev->tenants[i]);
+            continue;
+        }
+        const cloud::Tenant &t = *tenants[i];
+        auto v = std::make_shared<ShardView::Tenant>();
+        v->app = t.cls.app;
+        v->state = t.state;
+        v->bill = t.bill();
+        // Folds the live meter now, at a task boundary.
+        v->joules = provider_.tenantJoules(t);
+        v->energyBill = provider_.params().sim.energy.dollars(v->joules);
+        v->qosSamples = t.qosSamples();
+        v->qosViolations = t.qosViolations();
+        v->activeRounds = t.activeRounds;
+        next->tenants.push_back(std::move(v));
+    }
+    std::lock_guard<std::mutex> lock(viewMutex_);
+    view_ = std::move(next);
+}
+
+JsonValue
+ServiceCore::read(const Request &req) const
+{
+    std::shared_ptr<const ShardView> v = view();
+    if (req.op == Op::Ping) {
+        JsonValue resp = okResponse(req.id);
+        resp.set("round", JsonValue(v->round));
+        return resp;
+    }
+    std::uint32_t local = 0;
+    JsonValue resp;
+    if (!localId(req, local, &resp))
+        return resp;
+    if (local >= v->tenants.size())
+        return errorResponse(req.id, errors::UnknownTenant,
+                             strfmt("tenant %u unknown", req.tenant));
+    const ShardView::Tenant &t = *v->tenants[local];
+    resp = okResponse(req.id);
+    resp.set("tenant", JsonValue(req.tenant));
+    resp.set("app", JsonValue(t.app));
+    resp.set("state", JsonValue(cloud::tenantStateName(t.state)));
+    resp.set("bill", JsonValue(t.bill));
+    resp.set("joules", JsonValue(t.joules));
+    resp.set("energy_bill", JsonValue(t.energyBill));
+    resp.set("qos_samples", JsonValue(t.qosSamples));
+    resp.set("qos_violations", JsonValue(t.qosViolations));
+    resp.set("active_rounds", JsonValue(t.activeRounds));
+    return resp;
+}
+
 JsonValue
 ServiceCore::apply(const Request &req)
 {
     JsonValue resp;
     switch (req.op) {
       case Op::Ping:
-        resp = okResponse(req.id);
-        resp.set("round", JsonValue(provider_.round()));
-        break;
+      case Op::Query:
+        return read(req); // no provider access, nothing to audit
       case Op::Arrive:
         resp = applyArrive(req);
         break;
       case Op::Depart:
         resp = applyDepart(req);
-        break;
-      case Op::Query:
-        resp = applyQuery(req);
         break;
       case Op::Step:
         resp = applyStep(req);
@@ -199,6 +265,7 @@ ServiceCore::applyArrive(const Request &req)
                    req.cls, classes));
     cloud::TenantId id =
         provider_.injectArrival(req.cls, req.residence);
+    publishView();
     const cloud::Tenant &t = *provider_.tenants()[id];
     JsonValue resp = okResponse(req.id);
     resp.set("tenant",
@@ -237,42 +304,16 @@ ServiceCore::applyDepart(const Request &req)
         return errorResponse(
             req.id, errors::UnknownTenant,
             strfmt("tenant %u unknown or already gone", req.tenant));
-    const cloud::Tenant &t = *provider_.tenants()[local];
+    publishView();
+    std::shared_ptr<const ShardView> v = view();
+    const ShardView::Tenant &t = *v->tenants[local];
     resp = okResponse(req.id);
     resp.set("tenant", JsonValue(req.tenant));
     resp.set("state", JsonValue(cloud::tenantStateName(t.state)));
-    resp.set("bill", JsonValue(t.bill()));
-    resp.set("joules", JsonValue(provider_.tenantJoules(t)));
-    resp.set("energy_bill",
-             JsonValue(provider_.params().sim.energy.dollars(
-                 provider_.tenantJoules(t))));
+    resp.set("bill", JsonValue(t.bill));
+    resp.set("joules", JsonValue(t.joules));
+    resp.set("energy_bill", JsonValue(t.energyBill));
     CASH_METRIC_INC("service.departs");
-    return resp;
-}
-
-JsonValue
-ServiceCore::applyQuery(const Request &req)
-{
-    std::uint32_t local = 0;
-    JsonValue resp;
-    if (!localId(req, local, &resp))
-        return resp;
-    if (local >= provider_.tenants().size())
-        return errorResponse(req.id, errors::UnknownTenant,
-                             strfmt("tenant %u unknown", req.tenant));
-    const cloud::Tenant &t = *provider_.tenants()[local];
-    resp = okResponse(req.id);
-    resp.set("tenant", JsonValue(req.tenant));
-    resp.set("app", JsonValue(t.cls.app));
-    resp.set("state", JsonValue(cloud::tenantStateName(t.state)));
-    resp.set("bill", JsonValue(t.bill()));
-    resp.set("joules", JsonValue(provider_.tenantJoules(t)));
-    resp.set("energy_bill",
-             JsonValue(provider_.params().sim.energy.dollars(
-                 provider_.tenantJoules(t))));
-    resp.set("qos_samples", JsonValue(t.qosSamples()));
-    resp.set("qos_violations", JsonValue(t.qosViolations()));
-    resp.set("active_rounds", JsonValue(t.activeRounds));
     return resp;
 }
 
@@ -283,6 +324,7 @@ ServiceCore::applyStep(const Request &req)
         provider_.step();
         maybeAudit();
     }
+    publishView();
     CASH_METRIC_ADD("service.quanta", req.quanta);
     JsonValue resp = okResponse(req.id);
     resp.set("round", JsonValue(provider_.round()));
@@ -385,6 +427,7 @@ ServiceCore::migrateOut(const Request &req)
             strfmt("tenant %u is not migratable (request-driven "
                    "source)",
                    req.tenant));
+    publishView();
     maybeAudit();
     return Handoff{req.id, shardId_, req.to, snap->stallCycles,
                    snapshotToJson(*snap).dump()};
@@ -400,6 +443,7 @@ ServiceCore::migrateIn(const Handoff &h)
         panic("migration snapshot did not round-trip: %s",
               h.snapshotJson.c_str());
     cloud::TenantId local = provider_.migrateIn(*snap);
+    publishView();
     maybeAudit();
     CASH_METRIC_INC("service.migrations");
     const cloud::Tenant &t = *provider_.tenants()[local];
@@ -418,6 +462,7 @@ JsonValue
 ServiceCore::drainReport()
 {
     std::vector<cloud::FinalBill> bills = provider_.drain();
+    publishView();
     // The post-drain audit is the shutdown billing-conservation
     // gate: every tenant departed, every holding released, departed
     // revenue equal to the sum of finalized bills.

@@ -21,15 +21,32 @@
  * after every applied request and after every quantum inside a
  * Step, so a protocol-reachable conservation bug throws
  * InvariantError instead of corrupting bills silently.
+ *
+ * Reads never touch the provider. Every call that changes it (an
+ * arrive, depart, step, drain, migrate-out or migrate-in) ends by
+ * publishing an immutable ShardView: the round, the shard's load and
+ * each tenant's query answer, its joules folded right there. ping and
+ * query are answered from the current view — by read(), from any
+ * thread — so a reader never waits for the shard's thread, and when
+ * queries arrive does not change what the meters sum. The daemon's
+ * IO threads answer reads this way unless the client still has a
+ * request in flight; then the read queues behind it, applies here
+ * through apply(), and so sees that request's effects. A read answered
+ * by an IO thread never meets `queue_full` or `deadline_exceeded`.
+ * The snapshot family (snapshot, shards, region_snapshot,
+ * region_energy) still applies on the shard's thread.
  */
 
 #ifndef CASH_SERVICE_CORE_HH
 #define CASH_SERVICE_CORE_HH
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <variant>
+#include <vector>
 
 #include "cloud/placement.hh"
 #include "cloud/provider.hh"
@@ -62,6 +79,40 @@ struct Handoff
     std::string snapshotJson;
 };
 
+/**
+ * What one shard answers reads from: its state as of the last call
+ * that changed it. Immutable once published.
+ */
+struct ShardView
+{
+    /** The fields of one tenant's query answer. */
+    struct Tenant
+    {
+        std::string app;
+        cloud::TenantState state = cloud::TenantState::Queued;
+        double bill = 0.0;
+        double joules = 0.0;
+        double energyBill = 0.0;
+        std::uint64_t qosSamples = 0;
+        std::uint64_t qosViolations = 0;
+        std::uint64_t activeRounds = 0;
+
+        /** Departed, rejected and migrated tenants never change
+         *  again, so later views share their answer. */
+        bool isFinal() const
+        {
+            return state != cloud::TenantState::Queued
+                && state != cloud::TenantState::Active;
+        }
+    };
+
+    std::uint64_t round = 0;
+    /** The shard's occupancy, for the placement router. */
+    cloud::ShardLoad load;
+    /** Indexed by local tenant id. */
+    std::vector<std::shared_ptr<const Tenant>> tenants;
+};
+
 class ServiceCore
 {
   public:
@@ -81,8 +132,15 @@ class ServiceCore
      *  Op::Migrate crosses shards, so it goes through
      *  migrateOut/migrateIn and answers bad_request here;
      *  the fan-out ops produce this shard's part, which the region
-     *  engine merges. */
+     *  engine merges; ping and query are answered by read(). */
     JsonValue apply(const Request &req);
+
+    /** Answer a ping or a query from the published view. Touches no
+     *  provider state, so any thread may call it. */
+    JsonValue read(const Request &req) const;
+
+    /** The current view (any thread). */
+    std::shared_ptr<const ShardView> view() const;
 
     /** Migrate-out of a routed migrate request (req.tenant lives on
      *  this shard, req.to is the target): the hand-off, or the error
@@ -108,16 +166,12 @@ class ServiceCore
     }
     cloud::ShardId shardId() const { return shardId_; }
 
-    /** This shard's occupancy, for the placement router. */
-    cloud::ShardLoad load() const
-    {
-        return cloud::loadOf(provider_);
-    }
+    /** This shard's occupancy as last published (any thread). */
+    cloud::ShardLoad load() const { return view()->load; }
 
   private:
     JsonValue applyArrive(const Request &req);
     JsonValue applyDepart(const Request &req);
-    JsonValue applyQuery(const Request &req);
     JsonValue applyStep(const Request &req);
     JsonValue applySnapshot(const Request &req);
     JsonValue applyShardInfo(const Request &req);
@@ -131,9 +185,17 @@ class ServiceCore
 
     void maybeAudit();
 
+    /** Publish the provider's current state as the new view. Only
+     *  tenants that were live in the previous view, and new ones,
+     *  are read again. */
+    void publishView();
+
     cloud::CloudProvider &provider_;
     bool audit_;
     cloud::ShardId shardId_;
+
+    mutable std::mutex viewMutex_; ///< guards the view_ pointer
+    std::shared_ptr<const ShardView> view_;
 };
 
 } // namespace cash::service

@@ -229,7 +229,7 @@ RegionEngine::RegionEngine(const cloud::ProviderParams &params,
 }
 
 Route
-RegionEngine::route(const Request &req, const LoadsFn &loads)
+RegionEngine::route(const Request &req, bool queued_ahead)
 {
     Route r;
     r.request = req;
@@ -240,6 +240,8 @@ RegionEngine::route(const Request &req, const LoadsFn &loads)
     };
     switch (req.op) {
       case Op::Ping:
+        if (!queued_ahead)
+            return answer(core(0).read(req));
         r.kind = Route::Kind::Shard;
         return r;
       case Op::Arrive: {
@@ -266,6 +268,8 @@ RegionEngine::route(const Request &req, const LoadsFn &loads)
                 req.id, errors::UnknownTenant,
                 strfmt("tenant %u names shard %u of a %u-shard region",
                        req.tenant, from, shards())));
+        if (req.op == Op::Query && !queued_ahead)
+            return answer(core(from).read(req));
         r.kind = Route::Kind::Shard;
         r.shard = from;
         if (req.op != Op::Migrate)
@@ -325,7 +329,7 @@ RegionEngine::merge(Op op, std::uint64_t id,
 }
 
 std::optional<Handoff>
-RegionEngine::afterBatch(cloud::ShardId self, const LoadsFn &loads)
+RegionEngine::afterBatch(cloud::ShardId self)
 {
     ServiceCore &c = core(self);
     if (c.draining() || !router_.rebalance().enabled || shards() < 2)
@@ -366,6 +370,16 @@ RegionEngine::migrateIn(const Handoff &h)
     return resp;
 }
 
+std::vector<cloud::ShardLoad>
+RegionEngine::loads() const
+{
+    std::vector<cloud::ShardLoad> l;
+    l.reserve(shards());
+    for (const auto &c : cores_)
+        l.push_back(c->load());
+    return l;
+}
+
 RegionStats
 RegionEngine::stats() const
 {
@@ -377,27 +391,17 @@ RegionEngine::stats() const
 // RegionCore: the single-threaded scheduler.
 // ---------------------------------------------------------------
 
-std::vector<cloud::ShardLoad>
-RegionCore::sampleLoads() const
-{
-    std::vector<cloud::ShardLoad> loads;
-    loads.reserve(shards());
-    for (std::uint32_t s = 0; s < shards(); ++s)
-        loads.push_back(cloud::loadOf(provider(s)));
-    return loads;
-}
-
 void
 RegionCore::afterRequest(cloud::ShardId shard)
 {
-    if (auto h = afterBatch(shard, [this] { return sampleLoads(); }))
+    if (auto h = afterBatch(shard))
         migrateIn(*h);
 }
 
 JsonValue
 RegionCore::apply(const Request &req)
 {
-    Route r = route(req, [this] { return sampleLoads(); });
+    Route r = route(req, /*queued_ahead=*/false);
     if (r.kind == Route::Kind::Answer)
         return r.answer;
     JsonValue resp;

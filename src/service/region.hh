@@ -7,8 +7,9 @@
  * each, and a PlacementRouter (cloud/placement.hh), and makes every
  * region decision in one place:
  *
- *  - route(): where a request goes — an error to answer now, one
- *    shard (a migrate's auto target resolved), or every shard;
+ *  - route(): where a request goes — an answer now (an error, or a
+ *    ping or query read from the shard's published view), one shard
+ *    (a migrate's auto target resolved), or every shard;
  *  - merge(): how the per-shard parts of a fanned-out op become the
  *    region response;
  *  - ServiceCore::migrateOut / migrateIn: how a tenant crosses
@@ -33,7 +34,6 @@
 #define CASH_SERVICE_REGION_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -61,7 +61,7 @@ struct Route
 {
     enum class Kind : std::uint8_t
     {
-        Answer, ///< answer now with `answer` (an error)
+        Answer, ///< answer now with `answer`
         Shard,  ///< apply `request` on `shard` alone
         All,    ///< apply `request` on every shard, then merge
     };
@@ -72,16 +72,13 @@ struct Route
     JsonValue answer;
 };
 
-/** Samples the shards' loads; called only when a decision needs
- *  them. */
-using LoadsFn = std::function<std::vector<cloud::ShardLoad>()>;
-
 /**
  * The region decisions over N shards. Shard s's core and provider
- * belong to whoever schedules shard s; route, merge, afterBatch,
- * migrateIn and stats may be called from any thread (one mutex
- * guards the router and the counters), as long as afterBatch(s)
- * runs where shard s is scheduled and migrateIn(h) where h.to is.
+ * belong to whoever schedules shard s; route, merge, loads,
+ * afterBatch, migrateIn and stats may be called from any thread (one
+ * mutex guards the router and the counters; loads and reads come
+ * from the shards' published views), as long as afterBatch(s) runs
+ * where shard s is scheduled and migrateIn(h) where h.to is.
  */
 class RegionEngine
 {
@@ -101,9 +98,11 @@ class RegionEngine
                      cloud::PlacementPolicy::BinPack,
                  const cloud::RebalanceParams &rebalance = {});
 
-    /** Where `req` goes. Calls `loads` only for an arrival of a
-     *  valid class and for an auto-target migrate. */
-    Route route(const Request &req, const LoadsFn &loads);
+    /** Where `req` goes. A ping or a query is answered from the
+     *  shard's view, unless `queued_ahead`: the client still has a
+     *  request queued, and its reads queue behind it so they see
+     *  its effects. */
+    Route route(const Request &req, bool queued_ahead);
 
     /** The region response to a fanned-out op, from its per-shard
      *  parts in shard order. */
@@ -113,8 +112,10 @@ class RegionEngine
     /** The after-batch hook of shard `self`: unless it is draining,
      *  plan a rebalance out of it, pick the migrant and migrate it
      *  out. Returns the hand-off to deliver, if any. */
-    std::optional<Handoff> afterBatch(cloud::ShardId self,
-                                      const LoadsFn &loads);
+    std::optional<Handoff> afterBatch(cloud::ShardId self);
+
+    /** Every shard's load, as last published. */
+    std::vector<cloud::ShardLoad> loads() const;
 
     /** Deliver a hand-off: migrate-in on shard h.to, counted. */
     JsonValue migrateIn(const Handoff &h);
@@ -145,7 +146,8 @@ class RegionEngine
  * The single-threaded scheduler: applies one request at a time, in
  * order, and runs the after-batch hook for every shard the request
  * touched (source before target for a migrate, shard order
- * otherwise).
+ * otherwise). Nothing is ever queued, so reads are always answered
+ * from the views and touch no shard.
  */
 class RegionCore : public RegionEngine
 {
@@ -161,7 +163,6 @@ class RegionCore : public RegionEngine
     bool draining() const { return provider(0).draining(); }
 
   private:
-    std::vector<cloud::ShardLoad> sampleLoads() const;
     void afterRequest(cloud::ShardId shard);
 };
 

@@ -102,11 +102,9 @@ ServiceServer::ServiceServer(const cloud::ProviderParams &params,
 {
     if (config_.ioThreads == 0)
         config_.ioThreads = 1;
-    for (std::uint32_t s = 0; s < shardCount(); ++s) {
+    for (std::uint32_t s = 0; s < shardCount(); ++s)
         shards_[s].queue = std::make_unique<BoundedQueue<SimTask>>(
             config_.queueCapacity);
-        loadBoard_.push_back(region_.core(s).load());
-    }
 }
 
 ServiceServer::~ServiceServer()
@@ -375,13 +373,6 @@ ServiceServer::respondNow(Connection &conn, const JsonValue &resp)
     CASH_METRIC_INC("service.responses");
 }
 
-std::vector<cloud::ShardLoad>
-ServiceServer::copyLoads()
-{
-    std::lock_guard<std::mutex> lock(loadMutex_);
-    return loadBoard_;
-}
-
 void
 ServiceServer::enqueueSingle(Connection &conn, const Request &req,
                              std::uint32_t shard)
@@ -448,7 +439,9 @@ ServiceServer::enqueueFanout(Connection &conn, const Request &req)
 void
 ServiceServer::routeRequest(Connection &conn, const Request &req)
 {
-    Route r = region_.route(req, [this] { return copyLoads(); });
+    // A read waits in a queue only behind its own connection's
+    // earlier requests, so it sees their effects.
+    Route r = region_.route(req, conn.inFlight > 0);
     switch (r.kind) {
       case Route::Kind::Answer:
         respondNow(conn, r.answer);
@@ -784,14 +777,6 @@ ServiceServer::publish(std::uint64_t conn_id, std::string framed)
 }
 
 void
-ServiceServer::publishLoad(std::uint32_t shard)
-{
-    cloud::ShardLoad load = region_.core(shard).load();
-    std::lock_guard<std::mutex> lock(loadMutex_);
-    loadBoard_[shard] = load;
-}
-
-void
 ServiceServer::handOff(std::uint64_t conn_id, Handoff h)
 {
     SimTask mt;
@@ -854,9 +839,9 @@ ServiceServer::simHandleTask(std::uint32_t shard, SimTask &task,
         break;
     }
 
-    // The load goes on the board before anything answers this task,
-    // so the client's next request is routed on it.
-    publishLoad(shard);
+    // The shard's view (its load and its read answers) was published
+    // inside the apply, so the client's next request is routed and
+    // read on it.
     if (handoff) {
         handOff(task.connId, std::move(*handoff));
     } else if (task.kind == SimTask::Kind::FanPart) {
@@ -891,8 +876,7 @@ ServiceServer::simLoop(std::uint32_t shard)
         // The rebalance hook; shards stop shedding once the fleet
         // drains.
         if (!stopRequested_.load(std::memory_order_relaxed))
-            if (auto h = region_.afterBatch(
-                    shard, [this] { return copyLoads(); })) {
+            if (auto h = region_.afterBatch(shard)) {
                 CASH_TRACE_HOST_SPAN(trace::Category::Service,
                                      "rebalance", traceNowUs(), 0.0,
                                      {{"from", shard}, {"to", h->to}});

@@ -17,21 +17,31 @@
  *
  *  - `shards` simulation threads each own one shard of a
  *    RegionEngine (service/region.hh) behind a BoundedQueue. The IO
- *    thread asks the engine where each request goes: an error it
- *    answers in place, one shard's queue (arrivals placed on the
- *    shared load board, tenant ops by the shard byte of the tenant
- *    id), or one part per shard, where the last shard to finish
- *    merges the parts and publishes the response. A fanned-out op
- *    is all or nothing: it is refused unless every queue has room,
- *    and the first shard to dequeue a part decides for all of them
- *    whether it missed its deadline. Each sim thread
- *    republishes its shard's load after every task, before anything
- *    answers that task, so a client's next request is routed on
- *    current load. Cross-shard migration is a sim-to-sim hand-off:
- *    the source's migrate-out pushes a capacity-exempt task to the
- *    target's queue, whose migrate-in responds. After every batch a
- *    sim thread runs the engine's rebalance hook, which sheds only
- *    *out of* that thread's own shard.
+ *    thread asks the engine where each request goes: an answer it
+ *    writes in place (an error, or a read), one shard's queue
+ *    (arrivals placed on the shards' loads, tenant ops by the shard
+ *    byte of the tenant id), or one part per shard, where the last
+ *    shard to finish merges the parts and publishes the response. A
+ *    fanned-out op is all or nothing: it is refused unless every
+ *    queue has room, and the first shard to dequeue a part decides
+ *    for all of them whether it missed its deadline. Cross-shard
+ *    migration is a sim-to-sim hand-off: the source's migrate-out
+ *    pushes a capacity-exempt task to the target's queue, whose
+ *    migrate-in responds. After every batch a sim thread runs the
+ *    engine's rebalance hook, which sheds only *out of* that
+ *    thread's own shard.
+ *
+ *  - Reads are answered by the IO thread from published views. Each
+ *    shard's ServiceCore publishes an immutable view (round, load,
+ *    every tenant's query answer) after every task that changes it,
+ *    before anything answers that task, so `ping` and `query` never
+ *    wait behind a step, and a client's next request is routed and
+ *    read on current state. A connection with a request still in
+ *    flight (Connection::inFlight > 0) sends its reads through the
+ *    queue instead, so its requests apply in order and it reads its
+ *    own writes. `queue_full` and `deadline_exceeded` never apply to
+ *    a read answered from a view. The snapshot-family fan-outs still
+ *    queue.
  *
  * Determinism: each shard's state is a pure function of its applied
  * request sequence. One shard and one client reproduce the PR-5
@@ -169,7 +179,9 @@ class ServiceServer
         /** Requests enqueued to sim threads whose responses have
          *  not yet been collected into the outbox. A half-closed
          *  connection stays open until this reaches zero, so the
-         *  "flush pending responses, then close" contract holds. */
+         *  "flush pending responses, then close" contract holds;
+         *  while it is non-zero, reads queue behind those requests
+         *  instead of being answered from a view. */
         std::uint64_t inFlight = 0;
         bool readClosed = false;
         bool closeAfterFlush = false;
@@ -271,10 +283,7 @@ class ServiceServer
                        Clock::time_point now);
     /** Queue a migrate-in on the hand-off's target shard. */
     void handOff(std::uint64_t conn_id, Handoff h);
-    /** Put the shard's current load on the board. */
-    void publishLoad(std::uint32_t shard);
 
-    std::vector<cloud::ShardLoad> copyLoads();
     void wake(std::uint32_t ti);
     void wakeAll();
 
@@ -282,11 +291,6 @@ class ServiceServer
     RegionEngine region_;
     std::vector<Shard> shards_;
     std::vector<std::unique_ptr<IoThread>> ioThreads_;
-
-    /** Load board: shard s's occupancy as last published by its
-     *  sim thread. */
-    std::mutex loadMutex_;
-    std::vector<cloud::ShardLoad> loadBoard_;
 
     std::vector<int> listenFds_;
     std::uint16_t boundTcpPort_ = 0;

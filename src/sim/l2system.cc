@@ -182,24 +182,33 @@ L2System::rebuildBanks(const std::vector<BankId> &new_banks,
                 load.begin(), load.end(),
                 [target](std::uint32_t l) { return l < target; });
             if (needy.empty() && any_underloaded) {
+                // Choose the stolen entries first, remembering the
+                // bank each one leaves...
+                std::vector<std::uint32_t> stolen_from(
+                    params_.bankHashEntries, ~std::uint32_t(0));
+                std::vector<bool> robbed(new_banks.size(), false);
                 for (std::uint32_t e = 0;
                      e < params_.bankHashEntries; ++e) {
                     std::uint32_t idx = new_table[e];
                     if (idx != ~std::uint32_t(0) && load[idx] > target) {
-                        // Lines under this entry become unreachable.
-                        auto *array = new_arrays[idx].get();
-                        std::uint64_t dirty = array->invalidateIf(
-                            [this, e](Addr block) {
-                                Addr addr = block
-                                    << std::countr_zero(
-                                        params_.blockSize);
-                                return hashEntry(addr) == e;
-                            });
-                        cost.dirtyLinesFlushed += dirty;
+                        stolen_from[e] = idx;
+                        robbed[idx] = true;
                         --load[idx];
                         new_table[e] = ~std::uint32_t(0);
                         needy.push_back(e);
                     }
+                }
+                // ...then drop the lines under them, which become
+                // unreachable, in one pass over each robbed bank.
+                const int shift = std::countr_zero(params_.blockSize);
+                for (std::uint32_t b = 0; b < new_banks.size(); ++b) {
+                    if (!robbed[b])
+                        continue;
+                    cost.dirtyLinesFlushed += new_arrays[b]->invalidateIf(
+                        [&](Addr block) {
+                            return stolen_from[hashEntry(block << shift)]
+                                == b;
+                        });
                 }
             }
 

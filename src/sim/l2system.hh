@@ -112,6 +112,17 @@ class L2System
     /** Total dirty lines across all banks (flush-cost worst case). */
     std::uint64_t dirtyLines() const;
 
+    /** Visit every resident line: fn(bank, block_addr, dirty). */
+    template <typename Fn>
+    void
+    forEachLine(Fn &&fn) const
+    {
+        for (std::size_t i = 0; i < arrays_.size(); ++i)
+            arrays_[i]->forEachLine([&](Addr block, bool dirty) {
+                fn(banks_[i], block, dirty);
+            });
+    }
+
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t writebacks() const { return writebacks_; }

@@ -1,6 +1,7 @@
 #include "sim/vcore.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "check/invariant.hh"
@@ -8,6 +9,19 @@
 
 namespace cash
 {
+
+namespace
+{
+
+/** Advance a ring cursor by one slot. */
+inline void
+advance(std::size_t &pos, std::size_t size)
+{
+    if (++pos == size)
+        pos = 0;
+}
+
+} // namespace
 
 VirtualCore::SliceCtx::SliceCtx(SliceId sid, const SimParams &params)
     : id(sid),
@@ -32,6 +46,8 @@ VirtualCore::VirtualCore(const FabricGrid &grid,
       l2_(grid, params.cache, banks),
       rename_(params.slice,
               static_cast<std::uint32_t>(slices.size())),
+      blockShift_(static_cast<std::uint32_t>(
+          std::countr_zero(params.cache.blockSize))),
       hist_(params.depWindow),
       energy_(params.energy)
 {
@@ -263,32 +279,23 @@ VirtualCore::memoryOwner(Addr addr) const
 {
     // LS-bank sorting: block addresses are hash-partitioned across
     // the member Slices' L1Ds.
-    Addr block = addr / params_.cache.blockSize;
+    Addr block = addr >> blockShift_;
     std::uint64_t h = block * 0xff51afd7ed558ccdull;
     return static_cast<std::uint32_t>((h >> 33) % slices_.size());
 }
 
 Cycle
-VirtualCore::memAccess(std::uint32_t member, Addr addr, bool write,
+VirtualCore::memAccess(SliceCtx &oc, Addr addr, bool write,
                        Cycle when)
 {
-    std::uint32_t owner = memoryOwner(addr);
-    SliceCtx &oc = *slices_[owner];
-    Cycle net = 0;
-    if (owner != member) {
-        // Request + response over the operand network.
-        net = 2 * operandLatency(member, owner);
-        slices_[member]->ctrs.operandNetMsgs += 2;
-    }
-
-    Addr block = addr / params_.cache.blockSize;
+    Addr block = addr >> blockShift_;
 
     // Store-to-load forwarding from the owner's store buffer.
     if (!write) {
         for (std::size_t i = 0; i < oc.sbBlocks.size(); ++i) {
             if (oc.sbBlocks[i] == block && oc.sbRing[i] > when) {
                 ++oc.ctrs.l1dAccesses;
-                return net + freqDiv_;
+                return freqDiv_;
             }
         }
     }
@@ -296,7 +303,7 @@ VirtualCore::memAccess(std::uint32_t member, Addr addr, bool write,
     ++oc.ctrs.l1dAccesses;
     CacheAccess l1 = oc.l1d.access(addr, write);
     if (l1.hit)
-        return net + dL1HitLat_;
+        return dL1HitLat_;
 
     ++oc.ctrs.l1dMisses;
     ++oc.ctrs.l2Accesses;
@@ -306,7 +313,7 @@ VirtualCore::memAccess(std::uint32_t member, Addr addr, bool write,
     // The L1 lookup runs at the core clock; the L2/DRAM portion is
     // in the reference domain and does not dilate — the root of the
     // memory-bound IPC-per-Hz advantage DVFS exploits.
-    return net + dL1HitLat_ + l2.latency;
+    return dL1HitLat_ + l2.latency;
 }
 
 std::uint32_t
@@ -365,7 +372,9 @@ VirtualCore::processInst(const MicroOp &op)
         std::uint16_t dist = dists[s];
         if (dist == 0 || dist > hist_.size() || dist > seq_)
             continue;
-        producers[s] = &hist_[(seq_ - dist) % hist_.size()];
+        producers[s] = &hist_[histPos_ >= dist
+                                  ? histPos_ - dist
+                                  : histPos_ + hist_.size() - dist];
     }
 
     std::uint32_t member = steer(op, producers);
@@ -382,7 +391,7 @@ VirtualCore::processInst(const MicroOp &op)
     }
 
     // L1I probe once per fetched block (on the executing Slice).
-    Addr fetch_block = op.pc / params_.cache.blockSize;
+    Addr fetch_block = op.pc >> blockShift_;
     if (fetch_block != sc.lastFetchBlock) {
         sc.lastFetchBlock = fetch_block;
         ++sc.ctrs.l1iAccesses;
@@ -406,10 +415,10 @@ VirtualCore::processInst(const MicroOp &op)
 
     // ------ Dispatch: front-end depth + ROB/IQ (+LSQ) occupancy.
     Cycle d = f + dFrontendDepth_;
-    d = std::max(d, sc.robRing[sc.robSeq % sc.robRing.size()]);
-    d = std::max(d, sc.iqRing[sc.iqSeq % sc.iqRing.size()]);
+    d = std::max(d, sc.robRing[sc.robPos]);
+    d = std::max(d, sc.iqRing[sc.iqPos]);
     if (op.isMem())
-        d = std::max(d, sc.lsqRing[sc.lsqSeq % sc.lsqRing.size()]);
+        d = std::max(d, sc.lsqRing[sc.lsqPos]);
 
     // ------ Source readiness via the dependence history.
     Cycle ready = d;
@@ -445,19 +454,17 @@ VirtualCore::processInst(const MicroOp &op)
         break;
       case OpClass::Load: {
         issue = std::max(issue, sc.lsuFree);
-        issue = std::max(
-            issue, sc.loadRing[sc.loadSeq % sc.loadRing.size()]);
+        issue = std::max(issue, sc.loadRing[sc.loadPos]);
         sc.lsuFree = issue + freqDiv_;
-        Cycle lat = memAccess(member, op.addr, false, issue);
+        Cycle lat = memAccess(sc, op.addr, false, issue);
         complete = issue + lat;
-        sc.loadRing[sc.loadSeq % sc.loadRing.size()] = complete;
-        ++sc.loadSeq;
+        sc.loadRing[sc.loadPos] = complete;
+        advance(sc.loadPos, sc.loadRing.size());
         break;
       }
       case OpClass::Store:
         issue = std::max(issue, sc.lsuFree);
-        issue = std::max(issue,
-                         sc.sbRing[sc.sbSeq % sc.sbRing.size()]);
+        issue = std::max(issue, sc.sbRing[sc.sbPos]);
         sc.lsuFree = issue + freqDiv_;
         complete = issue + freqDiv_; // enters the store buffer
         break;
@@ -524,24 +531,23 @@ VirtualCore::processInst(const MicroOp &op)
     // Store drains after commit: run the cache access now, charge
     // occupancy until the drain completes.
     if (op.op == OpClass::Store) {
-        Cycle lat = memAccess(member, op.addr, true, issue);
+        Cycle lat = memAccess(sc, op.addr, true, issue);
         Cycle drain = commit + lat;
-        sc.sbRing[sc.sbSeq % sc.sbRing.size()] = drain;
-        sc.sbBlocks[sc.sbSeq % sc.sbBlocks.size()] =
-            op.addr / params_.cache.blockSize;
-        ++sc.sbSeq;
-        sc.lsqRing[sc.lsqSeq % sc.lsqRing.size()] = drain;
-        ++sc.lsqSeq;
+        sc.sbRing[sc.sbPos] = drain;
+        sc.sbBlocks[sc.sbPos] = op.addr >> blockShift_;
+        advance(sc.sbPos, sc.sbRing.size());
+        sc.lsqRing[sc.lsqPos] = drain;
+        advance(sc.lsqPos, sc.lsqRing.size());
     } else if (op.op == OpClass::Load) {
-        sc.lsqRing[sc.lsqSeq % sc.lsqRing.size()] = complete;
-        ++sc.lsqSeq;
+        sc.lsqRing[sc.lsqPos] = complete;
+        advance(sc.lsqPos, sc.lsqRing.size());
     }
 
     // Window bookkeeping (slot frees for inst seq + size).
-    sc.robRing[sc.robSeq % sc.robRing.size()] = commit;
-    ++sc.robSeq;
-    sc.iqRing[sc.iqSeq % sc.iqRing.size()] = issue;
-    ++sc.iqSeq;
+    sc.robRing[sc.robPos] = commit;
+    advance(sc.robPos, sc.robRing.size());
+    sc.iqRing[sc.iqPos] = issue;
+    advance(sc.iqPos, sc.iqRing.size());
 
     // Rename bookkeeping: reads of producer registers, then the
     // destination write (program order).
@@ -554,8 +560,8 @@ VirtualCore::processInst(const MicroOp &op)
 
     // History for later consumers. A mispredicted branch's "value"
     // (the redirect) is already modeled via fetchRedirect_.
-    hist_[seq_ % hist_.size()] =
-        HistEnt{complete, member, op.destReg};
+    hist_[histPos_] = HistEnt{complete, member, op.destReg};
+    advance(histPos_, hist_.size());
     ++seq_;
 
     // Counters and request accounting.

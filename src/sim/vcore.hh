@@ -211,17 +211,18 @@ class VirtualCore
         Cycle aluFree = 0;
         Cycle lsuFree = 0;
         /** Ring buffers: slot (n % size) holds the cycle the
-         *  resource taken by the n-th user frees. */
+         *  resource taken by the n-th user frees. Each cursor is the
+         *  next user's slot, wrapped as it advances. */
         std::vector<Cycle> robRing;
         std::vector<Cycle> iqRing;
         std::vector<Cycle> lsqRing;
         std::vector<Cycle> sbRing;
         std::vector<Cycle> loadRing;
-        std::uint64_t robSeq = 0;
-        std::uint64_t iqSeq = 0;
-        std::uint64_t lsqSeq = 0;
-        std::uint64_t sbSeq = 0;
-        std::uint64_t loadSeq = 0;
+        std::size_t robPos = 0;
+        std::size_t iqPos = 0;
+        std::size_t lsqPos = 0;
+        std::size_t sbPos = 0;
+        std::size_t loadPos = 0;
         /** Store-buffer address book for store-to-load forwarding:
          *  parallel to sbRing (block address of each buffered store). */
         std::vector<Addr> sbBlocks;
@@ -274,9 +275,10 @@ class VirtualCore
     /** Member Slice owning an address (LS-bank sorting hash). */
     std::uint32_t memoryOwner(Addr addr) const;
 
-    /** Timing + functional simulation of a data-memory access.
-     *  Returns total latency as seen by the issuing member. */
-    Cycle memAccess(std::uint32_t member, Addr addr, bool write,
+    /** Timing + functional simulation of a data-memory access on
+     *  the Slice owning the address, which is where steer() runs
+     *  every memory op. Returns the access latency. */
+    Cycle memAccess(SliceCtx &owner, Addr addr, bool write,
                     Cycle when);
 
     /** Fast-forward all structural floors to at least `when`. */
@@ -308,9 +310,14 @@ class VirtualCore
     BranchPredictor bpred_;
     InstSource *source_ = nullptr;
 
+    /** log2 of the cache block size (a power of two). */
+    std::uint32_t blockShift_ = 0;
+
     Cycle clock_ = 0;
     std::uint64_t seq_ = 0;
     std::vector<HistEnt> hist_;
+    /** seq_ % hist_.size(): the next instruction's history slot. */
+    std::size_t histPos_ = 0;
     Cycle fetchRedirect_ = 0;
     Cycle lastCommit_ = 0;
     Cycle commitSlotCycle_ = 0;

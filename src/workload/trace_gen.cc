@@ -239,13 +239,16 @@ PacedSource::next(Cycle now)
 {
     // The chunk containing instruction N arrives when its first
     // instruction is due at the pace.
-    InstCount chunk_start = (handedOut_ / chunk_) * chunk_;
-    auto available = static_cast<Cycle>(
-        static_cast<double>(chunk_start) / pace_);
-    if (available > now) {
+    if (handedOut_ >= chunkEnd_) {
+        InstCount chunk_start = (handedOut_ / chunk_) * chunk_;
+        chunkEnd_ = chunk_start + chunk_;
+        chunkArrival_ = static_cast<Cycle>(
+            static_cast<double>(chunk_start) / pace_);
+    }
+    if (chunkArrival_ > now) {
         FetchResult fr;
         fr.kind = FetchResult::Kind::IdleUntil;
-        fr.idleUntil = available;
+        fr.idleUntil = chunkArrival_;
         return fr;
     }
     FetchResult fr = inner_.next(now);

@@ -123,6 +123,11 @@ class PacedSource : public InstSource
     double pace_;
     InstCount chunk_;
     InstCount handedOut_ = 0;
+    /** The chunk that holds instruction handedOut_ ends before
+     *  instruction chunkEnd_ and arrives at cycle chunkArrival_
+     *  (both recomputed once per chunk). */
+    InstCount chunkEnd_ = 0;
+    Cycle chunkArrival_ = 0;
 };
 
 /**

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <set>
+#include <tuple>
+
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "fabric/grid.hh"
@@ -186,6 +191,82 @@ TEST(L2, ReconfigureToSameSetIsFree)
     EXPECT_EQ(cost.dirtyLinesFlushed, 0u);
     EXPECT_EQ(cost.flushCycles, 0u);
     EXPECT_EQ(cost.linesInvalidated, 0u);
+}
+
+/**
+ * Property, over random bank-set changes (pure expansions, which
+ * steal hash entries from survivors, pure shrinks and arbitrary
+ * swaps): a reconfiguration keeps exactly the lines of surviving
+ * banks whose hash entry still maps to their bank, counts every
+ * other dirty line as flushed, and counts the removed banks' clean
+ * lines as invalidated. That is what dropping the lines entry by
+ * entry does, so one pass per bank must do the same.
+ */
+TEST(L2, RandomBankChangesDropExactlyTheUnreachableLines)
+{
+    CacheParams cp;
+    const int shift = std::countr_zero(cp.blockSize);
+    const std::uint32_t nbanks = grid().numBanks();
+    Rng r(11);
+    std::vector<BankId> current = {0, 1};
+    auto nextSet = [&]() {
+        std::vector<BankId> all = banks(nbanks);
+        for (std::uint32_t i = nbanks; i > 1; --i)
+            std::swap(all[i - 1], all[r.nextBounded(i)]);
+        std::vector<BankId> next;
+        switch (r.nextBounded(3)) {
+          case 0: // expand: every bank stays, a few join
+            next = current;
+            for (BankId b : all)
+                if (next.size() < current.size() + 1 + r.nextBounded(4)
+                    && std::find(next.begin(), next.end(), b)
+                        == next.end())
+                    next.push_back(b);
+            break;
+          case 1: // shrink: keep a non-empty subset
+            next = current;
+            next.resize(1 + r.nextBounded(current.size()));
+            break;
+          default: // anything
+            next.assign(all.begin(),
+                        all.begin() + 1 + r.nextBounded(16));
+            break;
+        }
+        return next;
+    };
+
+    L2System l2(grid(), cp, current);
+    using Line = std::tuple<BankId, Addr, bool>;
+    for (int round = 0; round < 60; ++round) {
+        for (int i = 0; i < 4000; ++i)
+            l2.access(0, r.nextBounded(1 << 22), r.nextBounded(3) == 0);
+        std::set<Line> before, after, expect;
+        l2.forEachLine([&](BankId b, Addr block, bool dirty) {
+            before.insert({b, block, dirty});
+        });
+
+        std::vector<BankId> next = nextSet();
+        L2ReconfigCost cost = l2.reconfigure(next);
+        std::uint64_t flushed = 0, invalidated = 0;
+        for (const auto &[bank, block, dirty] : before) {
+            bool kept = std::find(next.begin(), next.end(), bank)
+                != next.end();
+            if (kept && l2.bankFor(block << shift) == bank)
+                expect.insert({bank, block, dirty});
+            else if (dirty)
+                ++flushed;
+            else if (!kept)
+                ++invalidated;
+        }
+        l2.forEachLine([&](BankId b, Addr block, bool dirty) {
+            after.insert({b, block, dirty});
+        });
+        EXPECT_EQ(after, expect) << "round " << round;
+        EXPECT_EQ(cost.dirtyLinesFlushed, flushed) << "round " << round;
+        EXPECT_EQ(cost.linesInvalidated, invalidated)
+            << "round " << round;
+        current = next;
+    }
 }
 
 /** Capacity scaling: hit rate on a fixed working set improves with

@@ -13,11 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -616,6 +618,14 @@ class RawConn
         }
     }
 
+    /** True when a response (or EOF) is already waiting to be
+     *  read; never blocks. */
+    bool readable() const
+    {
+        pollfd p{fd_, POLLIN, 0};
+        return ::poll(&p, 1, 0) > 0;
+    }
+
     /** True when the server has closed its side. */
     bool waitForEof()
     {
@@ -838,6 +848,116 @@ TEST(Loopback, QueueFullIsAnsweredNotDropped)
     server.stop();
     EXPECT_EQ(server.finalReport().getBool("ok"), true);
     EXPECT_EQ(metric("service.queue_full") - full0, full);
+}
+
+/** Frame a request for RawConn. */
+std::string
+framed(Request req)
+{
+    return encodeFrame(req.toJson().dump());
+}
+
+/**
+ * Reads come from the shard's published view: a query on another
+ * connection is answered while a long step is still running on the
+ * same shard, and reports the state before that step.
+ */
+TEST(Loopback, QueryIsAnsweredWhileAStepRuns)
+{
+    ServerConfig sc;
+    sc.unixPath = testSocketPath("viewread");
+    ServiceServer server(tinyServiceParams(), sc);
+    const std::uint64_t requests0 = metric("service.requests");
+    server.start();
+    {
+        ServiceClient reader = ServiceClient::connectUnix(sc.unixPath);
+        auto tenant = static_cast<std::uint32_t>(
+            reader.arrive(0, 1000).getUint("tenant").value_or(0));
+        EXPECT_EQ(reader.step(1).getBool("ok"), true);
+        const auto rounds_before =
+            reader.query(tenant).getUint("active_rounds");
+        ASSERT_TRUE(rounds_before.has_value());
+
+        // A step long enough that the reader's round trips all fit
+        // inside it.
+        RawConn stepper(sc.unixPath);
+        Request step;
+        step.id = 900;
+        step.op = Op::Step;
+        step.quanta = 400;
+        stepper.sendRaw(framed(step));
+        // The step has been read (and so queued) before the queries
+        // below are sent: one IO thread handles frames in order.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (metric("service.requests") - requests0 < 4) {
+            ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+                << "the step was never read";
+            std::this_thread::yield();
+        }
+
+        for (int i = 0; i < 3; ++i) {
+            JsonValue q = reader.query(tenant);
+            EXPECT_EQ(q.getBool("ok"), true);
+            EXPECT_EQ(q.getUint("active_rounds"), rounds_before);
+        }
+        EXPECT_EQ(reader.ping().getUint("round"), 1u);
+        // Every read was answered, and the step's answer is still
+        // owed.
+        EXPECT_FALSE(stepper.readable());
+
+        std::optional<JsonValue> done = stepper.readResponse();
+        ASSERT_TRUE(done.has_value());
+        EXPECT_EQ(done->getUint("id"), 900u);
+        EXPECT_EQ(done->getUint("round"), 401u);
+        // A client that waited for an answer reads its effects.
+        EXPECT_EQ(reader.query(tenant).getUint("active_rounds"),
+                  *rounds_before + 400);
+    }
+    server.stop();
+    EXPECT_EQ(server.finalReport().getBool("ok"), true);
+}
+
+/**
+ * A read pipelined behind a write on the same connection queues
+ * behind it, so it sees the write's effects.
+ */
+TEST(Loopback, PipelinedQueryReadsItsOwnStep)
+{
+    ServerConfig sc;
+    sc.unixPath = testSocketPath("ownwrite");
+    ServiceServer server(tinyServiceParams(), sc);
+    server.start();
+    {
+        ServiceClient client = ServiceClient::connectUnix(sc.unixPath);
+        auto tenant = static_cast<std::uint32_t>(
+            client.arrive(0, 1000).getUint("tenant").value_or(0));
+        const auto rounds_before =
+            client.query(tenant).getUint("active_rounds");
+        ASSERT_TRUE(rounds_before.has_value());
+
+        Request step;
+        step.op = Op::Step;
+        step.quanta = 5;
+        Request query;
+        query.op = Op::Query;
+        query.tenant = tenant;
+        Request ping;
+        ping.op = Op::Ping;
+        std::uint64_t step_id = client.send(step);
+        std::uint64_t query_id = client.send(query);
+        std::uint64_t ping_id = client.send(ping);
+        // Answers come back in request order.
+        EXPECT_EQ(client.next().getUint("id"), step_id);
+        JsonValue q = client.next();
+        EXPECT_EQ(q.getUint("id"), query_id);
+        EXPECT_EQ(q.getUint("active_rounds"), *rounds_before + 5);
+        JsonValue p = client.next();
+        EXPECT_EQ(p.getUint("id"), ping_id);
+        EXPECT_EQ(p.getUint("round"), 5u);
+    }
+    server.stop();
+    EXPECT_EQ(server.finalReport().getBool("ok"), true);
 }
 
 TEST(Loopback, MalformedJsonGetsErrorThenClose)

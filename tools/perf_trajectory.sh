@@ -1,18 +1,29 @@
 #!/bin/sh
-# Performance trajectory: measure the two throughput numbers that
-# gate the repo's usefulness — simulated instructions per host
-# second (bench_sim_speed, google-benchmark JSON) and service
-# responses per host second (bench_service stderr) — and compare
-# them against the committed baselines at the repo root:
+# Performance trajectory: measure the numbers that gate the repo's
+# usefulness — simulated instructions per host second and the host
+# time of a reconfiguration round trip (bench_sim_speed,
+# google-benchmark JSON), and service responses per host second
+# (bench_service stderr) — and compare them against the committed
+# baselines at the repo root:
 #
-#   BENCH_sim_speed.json   one entry per (slices x banks) point
-#   BENCH_service.json     one entry per (sessions x pacing x shards)
+#   BENCH_sim_speed.json   one row per benchmark
+#   BENCH_service.json     one row per (sessions x pacing x shards)
+#
+# Every row is {"value": v, "unit": u, "better": "higher"|"lower"}.
+# A benchmark that reports items per second is a throughput (higher
+# is better); one that does not (BM_Reconfiguration) is recorded as
+# host microseconds per iteration (lower is better).
+#
+# The bench_service cells run one at a time (CASH_BENCH_THREADS=1):
+# concurrent cells would time each other's daemons and sessions.
 #
 # The comparison is SOFT by default: host variance between CI
 # runners dwarfs real regressions, so a drop only warns. Set
 # CASH_PERF_STRICT=1 to turn warnings into failures (for controlled
-# hosts). Run with --update to rewrite the baselines from this run
-# (commit the result to move the trajectory).
+# hosts). A row whose value is zero or missing, in the baseline or in
+# this run, always fails: it could never register a regression. Run
+# with --update to rewrite the baselines from this run (commit the
+# result to move the trajectory).
 #
 #   tools/perf_trajectory.sh <build-dir> [--update]
 set -eu
@@ -30,19 +41,26 @@ trap 'rm -rf "$DIR"' EXIT
     --benchmark_format=json \
     --benchmark_min_time=0.2 > /dev/null 2>&1
 
-CASH_BENCH_FAST=1 "$BUILD/bench/bench_service" \
+CASH_BENCH_FAST=1 CASH_BENCH_THREADS=1 "$BUILD/bench/bench_service" \
     > /dev/null 2> "$DIR/service.err"
 
 python3 - "$DIR" <<'EOF'
 import json, re, sys
 d = sys.argv[1]
 
-# Normalize google-benchmark output to {name: items_per_second}.
+# google-benchmark output -> rows. Time units to microseconds.
+US = {"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}
 raw = json.load(open(f"{d}/sim_speed.json"))
-sim = {b["name"]: round(b.get("items_per_second", 0.0), 1)
-       for b in raw["benchmarks"]}
-json.dump({"unit": "simulated instructions / host second",
-           "benchmarks": sim},
+sim = {}
+for b in raw["benchmarks"]:
+    if "items_per_second" in b:
+        sim[b["name"]] = {"value": round(b["items_per_second"], 1),
+                          "unit": "inst/s", "better": "higher"}
+    else:
+        sim[b["name"]] = {
+            "value": round(b["real_time"] * US[b["time_unit"]], 3),
+            "unit": "us/iteration", "better": "lower"}
+json.dump({"benchmarks": sim},
           open(f"{d}/BENCH_sim_speed.json", "w"), indent=1)
 
 # bench_service reports host throughput per grid cell on stderr:
@@ -54,8 +72,9 @@ for line in open(f"{d}/service.err"):
     m = pat.search(line)
     if m:
         key = f"{m.group(1)}-sessions/{m.group(2)}/{m.group(3)}-shards"
-        cells[key] = int(m.group(4))
-json.dump({"unit": "responses / host second", "cells": cells},
+        cells[key] = {"value": int(m.group(4)), "unit": "responses/s",
+                      "better": "higher"}
+json.dump({"cells": cells},
           open(f"{d}/BENCH_service.json", "w"), indent=1)
 EOF
 
@@ -65,33 +84,47 @@ python3 - "$DIR" "$ROOT" <<'EOF'
 import json, os, sys
 d, root = sys.argv[1], sys.argv[2]
 strict = os.environ.get("CASH_PERF_STRICT") == "1"
-# Below this fraction of the baseline counts as a regression.
+# Below this fraction of the baseline (of its speed, for a time)
+# counts as a regression.
 THRESHOLD = 0.6
-regressed = []
+regressed, broken = [], []
 
 def compare(name, new_map, old_map):
+    for key, row in new_map.items():
+        if not row["value"] > 0:
+            broken.append(f"{name}: '{key}' measured {row['value']}")
     for key, old in old_map.items():
         new = new_map.get(key)
-        if new is None:
+        if not old["value"] > 0:
+            broken.append(f"{name}: '{key}' has a zero baseline")
+        elif new is None:
             regressed.append(f"{name}: '{key}' disappeared")
-        elif old > 0 and new < THRESHOLD * old:
-            regressed.append(
-                f"{name}: '{key}' {new:.0f} vs baseline {old:.0f} "
-                f"({100 * new / old:.0f}%)")
+        elif new["value"] > 0:
+            speed = new["value"] / old["value"]
+            if old["better"] == "lower":
+                speed = 1.0 / speed
+            if speed < THRESHOLD:
+                regressed.append(
+                    f"{name}: '{key}' {new['value']:g} vs baseline "
+                    f"{old['value']:g} {old['unit']} "
+                    f"({100 * speed:.0f}% of its speed)")
 
 for fname, field in (("BENCH_sim_speed.json", "benchmarks"),
                      ("BENCH_service.json", "cells")):
-    base = os.path.join(root, fname)
-    if not os.path.exists(base):
-        print(f"perf_trajectory: no baseline {fname} (first run)")
-        continue
-    old = json.load(open(base))
     new = json.load(open(os.path.join(d, fname)))
-    compare(fname, new[field], old[field])
+    base = os.path.join(root, fname)
+    old = json.load(open(base)) if os.path.exists(base) else None
+    if old is None:
+        print(f"perf_trajectory: no baseline {fname} (first run)")
+    compare(fname, new[field], old[field] if old else {})
 
+for b in broken:
+    print(f"perf_trajectory: ERROR {b}")
+for r in regressed:
+    print(f"perf_trajectory: REGRESSION {r}")
+if broken:
+    sys.exit(1)
 if regressed:
-    for r in regressed:
-        print(f"perf_trajectory: REGRESSION {r}")
     if strict:
         sys.exit(1)
     print("perf_trajectory: soft mode, not failing "
