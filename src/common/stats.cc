@@ -78,69 +78,6 @@ RunningStat::max() const
     return count_ ? max_ : 0.0;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0)
-{
-    if (!(hi > lo))
-        fatal("Histogram range [%f, %f) is empty", lo, hi);
-    if (buckets == 0)
-        fatal("Histogram needs at least one bucket");
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-        return;
-    }
-    if (x >= hi_) {
-        ++overflow_;
-        return;
-    }
-    double frac = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<std::size_t>(
-        frac * static_cast<double>(counts_.size()));
-    if (idx >= counts_.size())
-        idx = counts_.size() - 1;
-    ++counts_[idx];
-}
-
-std::uint64_t
-Histogram::bucketCount(std::size_t i) const
-{
-    if (i >= counts_.size())
-        panic("Histogram bucket index out of range");
-    return counts_[i];
-}
-
-double
-Histogram::bucketLo(std::size_t i) const
-{
-    return lo_ + (hi_ - lo_) * static_cast<double>(i)
-        / static_cast<double>(counts_.size());
-}
-
-double
-Histogram::quantile(double q) const
-{
-    if (total_ == 0)
-        return lo_;
-    q = std::clamp(q, 0.0, 1.0);
-    auto target = static_cast<std::uint64_t>(
-        q * static_cast<double>(total_));
-    std::uint64_t seen = underflow_;
-    if (seen > target)
-        return lo_;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        seen += counts_[i];
-        if (seen > target)
-            return bucketLo(i);
-    }
-    return hi_;
-}
-
 double
 geomean(const std::vector<double> &values)
 {

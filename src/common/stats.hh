@@ -2,8 +2,9 @@
  * @file
  * Lightweight statistics primitives used across the simulator, the
  * runtime, and the bench harnesses: running mean/variance, min/max,
- * fixed-bucket histograms, and geometric means (the paper reports
- * most cross-application aggregates as geomeans).
+ * and geometric means (the paper reports most cross-application
+ * aggregates as geomeans). Latency histograms live in the metrics
+ * registry (trace::Histogram).
  */
 
 #ifndef CASH_COMMON_STATS_HH
@@ -47,41 +48,6 @@ class RunningStat
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/**
- * Fixed-range, uniform-bucket histogram with underflow/overflow bins.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo inclusive lower bound of the tracked range
-     * @param hi exclusive upper bound; must exceed lo
-     * @param buckets number of uniform buckets; must be >= 1
-     */
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void add(double x);
-    std::uint64_t bucketCount(std::size_t i) const;
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t total() const { return total_; }
-    std::size_t buckets() const { return counts_.size(); }
-    /** Inclusive lower edge of bucket i. */
-    double bucketLo(std::size_t i) const;
-
-    /** Value below which the given fraction of samples fall
-     *  (approximate, bucket-resolution; quantile in [0,1]). */
-    double quantile(double q) const;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 /** Geometric mean of positive values; fatal() on empty/non-positive. */

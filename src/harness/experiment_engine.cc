@@ -103,10 +103,73 @@ cellRng(const CellKey &key)
     return Rng(cellStream(key));
 }
 
-ExperimentEngine::ExperimentEngine(std::size_t threads)
-    : pool_(threads)
+std::size_t
+defaultThreadCount()
 {
-    report_.threads = pool_.threadCount();
+    if (const char *env = std::getenv("CASH_BENCH_THREADS")) {
+        char *end = nullptr;
+        long v = std::strtol(env, &end, 10);
+        if (end == env || *end != '\0' || v < 1) {
+            warn("CASH_BENCH_THREADS='%s' is not a positive "
+                 "integer; using 1 thread", env);
+            return 1;
+        }
+        return static_cast<std::size_t>(v);
+    }
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
+}
+
+ExperimentEngine::ExperimentEngine(std::size_t threads)
+{
+    if (threads == 0)
+        threads = defaultThreadCount();
+    report_.threads = threads;
+    workers_.reserve(threads);
+    try {
+        for (std::size_t i = 0; i < threads; ++i)
+            workers_.emplace_back([this] { workerLoop(); });
+    } catch (...) {
+        joinWorkers(); // a thread failed to start: stop the others
+        throw;
+    }
+}
+
+ExperimentEngine::~ExperimentEngine()
+{
+    joinWorkers();
+}
+
+void
+ExperimentEngine::joinWorkers()
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stopping_ = true;
+    }
+    posted_.notify_all();
+    for (std::thread &w : workers_)
+        w.join();
+}
+
+void
+ExperimentEngine::workerLoop()
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        posted_.wait(lock, [this] {
+            return stopping_ || next_ < batch_.size();
+        });
+        if (stopping_)
+            return;
+        // run() keeps batch_ in place until every wrapper returned.
+        std::function<void()> &wrapper = batch_[next_++];
+        lock.unlock();
+        wrapper();
+        lock.lock();
+        if (++done_ == batch_.size())
+            finished_.notify_one();
+    }
 }
 
 void
@@ -118,6 +181,8 @@ ExperimentEngine::run(std::vector<Cell> cells)
     std::vector<std::exception_ptr> errors(cells.size());
 
     auto t0 = clock::now();
+    std::vector<std::function<void()>> batch;
+    batch.reserve(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
         Cell &cell = cells[i];
         CellTiming &timing = report_.cells[base + i];
@@ -128,7 +193,7 @@ ExperimentEngine::run(std::vector<Cell> cells)
         // single-producer track per cell and canonical order holds
         // at any thread count (see TraceSession::drain).
         const std::uint64_t track = base + i + 1;
-        pool_.submit([&cell, &timing, &error, track] {
+        batch.push_back([&cell, &timing, &error, track] {
             trace::TrackScope scope(track);
             [[maybe_unused]] double start_us = 0.0;
             if (CASH_TRACE_ON()) {
@@ -151,7 +216,15 @@ ExperimentEngine::run(std::vector<Cell> cells)
             CASH_METRIC_INC("engine.cells");
         });
     }
-    pool_.wait();
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        batch_ = std::move(batch);
+        next_ = 0;
+        done_ = 0;
+        posted_.notify_all();
+        finished_.wait(lock, [this] { return done_ == batch_.size(); });
+        batch_.clear();
+    }
     report_.wallMillis +=
         std::chrono::duration<double, std::milli>(clock::now() - t0)
             .count();

@@ -6,8 +6,13 @@
  * independent cells — (app, policy | config, params, seed) — and
  * every bench used to walk that grid serially. ExperimentEngine
  * models each unit of evaluation work as a Cell and executes the
- * whole set on a work-stealing ThreadPool (CASH_BENCH_THREADS, or
- * hardware concurrency by default).
+ * whole set on its own N worker threads (CASH_BENCH_THREADS, or
+ * hardware concurrency by default). A batch is one flat list: each
+ * worker claims the next unstarted cell under one mutex and runs it
+ * unlocked, so N threads run exactly N cells at once and a cell's
+ * wall clock is not inflated by extra runners. The workers live as
+ * long as the engine (trace rings are per thread, so a thread per
+ * batch would allocate a ring per batch under --trace).
  *
  * Determinism contract: results are bit-identical regardless of the
  * thread count.
@@ -33,14 +38,16 @@
 #ifndef CASH_HARNESS_EXPERIMENT_ENGINE_HH
 #define CASH_HARNESS_EXPERIMENT_ENGINE_HH
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/thread_pool.hh"
 
 namespace cash::harness
 {
@@ -77,6 +84,10 @@ std::uint64_t cellStream(const CellKey &key);
 /** An Rng positioned at the start of the cell's private stream. */
 Rng cellRng(const CellKey &key);
 
+/** Worker count from CASH_BENCH_THREADS, else hardware concurrency
+ *  (at least 1). Values that fail to parse warn and fall back to 1. */
+std::size_t defaultThreadCount();
+
 /** One unit of evaluation work. */
 struct Cell
 {
@@ -102,16 +113,23 @@ struct EngineReport
 };
 
 /**
- * Executes batches of independent cells on a shared thread pool.
+ * Executes batches of independent cells on the engine's own worker
+ * threads, at most threads() cells at a time.
  */
 class ExperimentEngine
 {
   public:
-    /** @param threads pool size; 0 means CASH_BENCH_THREADS or
-     *         hardware concurrency. */
+    /** Starts the workers.
+     *  @param threads worker count; 0 means defaultThreadCount(). */
     explicit ExperimentEngine(std::size_t threads = 0);
 
-    std::size_t threads() const { return pool_.threadCount(); }
+    /** Joins the workers. */
+    ~ExperimentEngine();
+
+    ExperimentEngine(const ExperimentEngine &) = delete;
+    ExperimentEngine &operator=(const ExperimentEngine &) = delete;
+
+    std::size_t threads() const { return workers_.size(); }
 
     /**
      * Execute every cell, in parallel, and return once all have
@@ -119,6 +137,10 @@ class ExperimentEngine
      * declaration order. If cells threw, the exception of the
      * first throwing cell (by declaration order, not completion
      * order) is re-thrown.
+     *
+     * Call run() (and map()) from one thread and never from inside
+     * a cell: the engine holds one batch at a time, and the caller
+     * only waits for it.
      */
     void run(std::vector<Cell> cells);
 
@@ -170,9 +192,23 @@ class ExperimentEngine
     void writeJsonSummary(const std::string &bench_name);
 
   private:
-    ThreadPool pool_;
+    void workerLoop();
+    /** Stop the started workers and join them. */
+    void joinWorkers();
+
     EngineReport report_;
     bool warnedJson_ = false;
+
+    std::mutex mutex_;
+    std::condition_variable posted_;   ///< a batch arrived, or stop
+    std::condition_variable finished_; ///< the batch's cells returned
+    /** The current batch: per-cell wrappers built by run(). */
+    std::vector<std::function<void()>> batch_;
+    std::size_t next_ = 0; ///< first unclaimed index in batch_
+    std::size_t done_ = 0; ///< wrappers in batch_ that returned
+    bool stopping_ = false;
+    /** Declared last: every member above outlives the workers. */
+    std::vector<std::thread> workers_;
 };
 
 } // namespace cash::harness

@@ -126,7 +126,8 @@ usFromCycles(Cycle c)
  * (flight-recorder semantics) and overwritten() counts them.
  * snapshot() requires the producer to have quiesced (the head index
  * is released on push and acquired on read, so a happens-before
- * edge — e.g. ThreadPool::wait() or thread join — suffices).
+ * edge — e.g. ExperimentEngine::run() returning, or a thread
+ * join — suffices).
  */
 class ThreadBuffer
 {

@@ -1,16 +1,24 @@
 /**
  * @file
  * Tests for the ExperimentEngine layer: deterministic collection,
- * exception propagation, reporting, and the headline determinism
- * regression — one Fig-7-style cell set run with 1 thread and with
- * N threads must produce bit-identical RunOutput stats and series.
+ * exception propagation, reporting, the bound on cells in flight,
+ * the cell-key -> RNG stream derivation, and the headline
+ * determinism regression — one Fig-7-style cell set run with 1
+ * thread and with N threads must produce bit-identical RunOutput
+ * stats and series.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "common/log.hh"
 #include "harness/eval_grid.hh"
@@ -69,6 +77,83 @@ TEST(ExperimentEngine, ReportRecordsEveryCell)
         EXPECT_GE(t.millis, 0.0);
 }
 
+TEST(ExperimentEngine, RunsAtMostThreadsCellsAtOnce)
+{
+    // The calling thread only waits: N workers run N cells at once,
+    // never more, so per-cell wall clock is not inflated.
+    for (std::size_t threads : {1u, 3u}) {
+        harness::ExperimentEngine engine(threads);
+        std::atomic<int> running{0};
+        std::atomic<int> peak{0};
+        engine.map<int>(24, [&](std::size_t) {
+            int now = ++running;
+            int seen = peak.load();
+            while (now > seen
+                   && !peak.compare_exchange_weak(seen, now)) {
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            --running;
+            return 0;
+        });
+        EXPECT_EQ(peak.load(), static_cast<int>(threads))
+            << threads << " thread(s)";
+    }
+}
+
+TEST(ExperimentEngine, DefaultThreadCountIsPositive)
+{
+    EXPECT_GE(harness::defaultThreadCount(), 1u);
+    harness::ExperimentEngine engine;
+    EXPECT_EQ(engine.threads(), harness::defaultThreadCount());
+}
+
+TEST(ExperimentEngine, RunsTheNextBatchAfterACellThrew)
+{
+    // Every third cell throws: each one still runs, the first is
+    // re-thrown, no worker dies, and the engine takes a new batch.
+    harness::ExperimentEngine engine(4);
+    std::atomic<int> ran{0};
+    try {
+        engine.map<int>(300, [&ran](std::size_t i) {
+            ++ran;
+            if (i % 3 == 1)
+                throw std::runtime_error("cell " + std::to_string(i));
+            return 0;
+        });
+        FAIL() << "expected the first cell's exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "cell 1");
+    }
+    EXPECT_EQ(ran.load(), 300);
+
+    std::vector<std::uint64_t> out = engine.map<std::uint64_t>(
+        50, [](std::size_t i) { return Rng(i).next(); });
+    for (std::size_t i = 0; i < out.size(); ++i)
+        EXPECT_EQ(out[i], Rng(i).next());
+    EXPECT_EQ(engine.report().cells.size(), 350u);
+}
+
+// Run under TSan in CI: many tiny cells keep the workers contending
+// for the batch mutex, and batches follow each other back to back.
+TEST(ExperimentEngine, ManySmallCellsUnderContention)
+{
+    harness::ExperimentEngine engine(8);
+    constexpr std::size_t kBatches = 20;
+    constexpr std::size_t kCells = 1'000;
+    for (std::size_t b = 0; b < kBatches; ++b) {
+        std::atomic<std::uint64_t> sum{0};
+        std::vector<harness::Cell> cells;
+        cells.reserve(kCells);
+        for (std::size_t i = 0; i < kCells; ++i)
+            cells.push_back(
+                {{"tiny", "", i, b}, [i, &sum] { sum += i; }});
+        engine.run(std::move(cells));
+        EXPECT_EQ(sum.load(), kCells * (kCells - 1) / 2)
+            << "batch " << b;
+    }
+    EXPECT_EQ(engine.report().cells.size(), kBatches * kCells);
+}
+
 TEST(ExperimentEngine, JsonSummaryListsCells)
 {
     harness::ExperimentEngine engine(1);
@@ -104,6 +189,64 @@ TEST(ExperimentEngine, WritesJsonSummaryNextToCsv)
     EXPECT_NE(content.find("\"bench\":\"enginetest\""),
               std::string::npos);
     EXPECT_NE(content.find("\"cells\":["), std::string::npos);
+}
+
+// ---- Cell-key -> stream derivation ----
+
+TEST(CellStream, DeterministicPerKey)
+{
+    harness::CellKey key{"x264", "CASH", 3, 5};
+    EXPECT_EQ(harness::cellStream(key), harness::cellStream(key));
+    Rng a = harness::cellRng(key);
+    Rng b = harness::cellRng(key);
+    for (int i = 0; i < 16; ++i)
+        EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(CellStream, EveryFieldChangesTheStream)
+{
+    harness::CellKey base{"x264", "CASH", 3, 5};
+    std::set<std::uint64_t> streams;
+    streams.insert(harness::cellStream(base));
+    harness::CellKey k1 = base;
+    k1.subject = "apache";
+    streams.insert(harness::cellStream(k1));
+    harness::CellKey k2 = base;
+    k2.variant = "Optimal";
+    streams.insert(harness::cellStream(k2));
+    harness::CellKey k3 = base;
+    k3.config = 4;
+    streams.insert(harness::cellStream(k3));
+    harness::CellKey k4 = base;
+    k4.seed = 6;
+    streams.insert(harness::cellStream(k4));
+    EXPECT_EQ(streams.size(), 5u);
+}
+
+TEST(CellStream, FieldBoundariesDoNotAlias)
+{
+    // {"ab","c"} and {"a","bc"} must not hash alike.
+    harness::CellKey a{"ab", "c", 0, 0};
+    harness::CellKey b{"a", "bc", 0, 0};
+    EXPECT_NE(harness::cellStream(a), harness::cellStream(b));
+}
+
+TEST(CellStream, NearbyKeysDecorrelate)
+{
+    // Consecutive configs must not yield correlated first draws
+    // (the xoshiro256** split decorrelates them); check the
+    // distribution of first doubles is not monotone in config.
+    std::vector<double> first;
+    for (std::uint64_t k = 0; k < 16; ++k) {
+        harness::CellKey key{"app", "pol", k, 1};
+        first.push_back(harness::cellRng(key).nextDouble());
+    }
+    bool monotone = true;
+    for (std::size_t i = 1; i < first.size(); ++i)
+        monotone = monotone && first[i] > first[i - 1];
+    EXPECT_FALSE(monotone);
+    std::set<double> uniq(first.begin(), first.end());
+    EXPECT_EQ(uniq.size(), first.size());
 }
 
 // ---- Determinism regression (Fig-7-style cells) ----

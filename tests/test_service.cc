@@ -618,12 +618,12 @@ class RawConn
         }
     }
 
-    /** True when a response (or EOF) is already waiting to be
-     *  read; never blocks. */
-    bool readable() const
+    /** True when a response (or EOF) is waiting to be read, or
+     *  arrives within timeout_ms; by default never blocks. */
+    bool readable(int timeout_ms = 0) const
     {
         pollfd p{fd_, POLLIN, 0};
-        return ::poll(&p, 1, 0) > 0;
+        return ::poll(&p, 1, timeout_ms) > 0;
     }
 
     /** True when the server has closed its side. */
@@ -958,6 +958,89 @@ TEST(Loopback, PipelinedQueryReadsItsOwnStep)
     }
     server.stop();
     EXPECT_EQ(server.finalReport().getBool("ok"), true);
+}
+
+/**
+ * idleTimeoutMs closes a connection that stays silent that long and
+ * counts it; a connection that keeps talking stays open.
+ */
+TEST(Loopback, IdleConnectionIsClosedAndCounted)
+{
+    ServerConfig sc;
+    sc.unixPath = testSocketPath("idle");
+    sc.idleTimeoutMs = 100;
+    ServiceServer server(tinyServiceParams(), sc);
+    const std::uint64_t idle0 = metric("service.idle_closed");
+    server.start();
+    {
+        RawConn silent(sc.unixPath);
+        RawConn talker(sc.unixPath);
+        // The talker pings every 20 ms for 300 ms, long past the
+        // silent connection's timeout.
+        Request ping;
+        ping.op = Op::Ping;
+        const auto until = std::chrono::steady_clock::now()
+            + std::chrono::milliseconds(300);
+        while (std::chrono::steady_clock::now() < until) {
+            ++ping.id;
+            talker.sendRaw(framed(ping));
+            std::optional<JsonValue> resp = talker.readResponse();
+            ASSERT_TRUE(resp.has_value()) << "ping " << ping.id;
+            EXPECT_EQ(resp->getUint("id"), ping.id);
+            EXPECT_EQ(resp->getBool("ok"), true);
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        EXPECT_GE(ping.id, 10u);
+        ASSERT_TRUE(silent.readable(5000)) << "never closed";
+        EXPECT_TRUE(silent.waitForEof());
+        EXPECT_EQ(metric("service.idle_closed") - idle0, 1u);
+    }
+    server.stop();
+    EXPECT_EQ(server.finalReport().getBool("ok"), true);
+}
+
+/**
+ * requestDeadlineMs: a write that waited in the shard queue longer
+ * than the deadline is answered `deadline_exceeded` and not applied.
+ */
+TEST(Loopback, ArriveQueuedPastItsDeadlineIsNotApplied)
+{
+    ServerConfig sc;
+    sc.unixPath = testSocketPath("deadline");
+    sc.requestDeadlineMs = 20;
+    // One task per batch, so the arrive's wait is measured after the
+    // step it queued behind.
+    sc.maxBatch = 1;
+    ServiceServer server(tinyServiceParams(), sc);
+    const std::uint64_t late0 = metric("service.deadline_exceeded");
+    server.start();
+    {
+        ServiceClient client = ServiceClient::connectUnix(sc.unixPath);
+        ASSERT_EQ(client.arrive(0, 1000).getBool("ok"), true);
+        const auto arrivals = client.snapshot().getUint("arrivals");
+        ASSERT_TRUE(arrivals.has_value());
+
+        Request step;
+        step.op = Op::Step;
+        step.quanta = 400;
+        Request arrive;
+        arrive.op = Op::Arrive;
+        arrive.residence = 1000;
+        std::uint64_t step_id = client.send(step);
+        std::uint64_t arrive_id = client.send(arrive);
+        JsonValue stepped = client.next();
+        EXPECT_EQ(stepped.getUint("id"), step_id);
+        EXPECT_EQ(stepped.getUint("round"), 400u);
+        JsonValue late = client.next();
+        EXPECT_EQ(late.getUint("id"), arrive_id);
+        EXPECT_EQ(late.getBool("ok"), false);
+        EXPECT_EQ(late.getString("error"), errors::DeadlineExceeded);
+
+        EXPECT_EQ(client.snapshot().getUint("arrivals"), arrivals);
+    }
+    server.stop();
+    EXPECT_EQ(server.finalReport().getBool("ok"), true);
+    EXPECT_EQ(metric("service.deadline_exceeded") - late0, 1u);
 }
 
 TEST(Loopback, MalformedJsonGetsErrorThenClose)

@@ -91,43 +91,6 @@ TEST(RunningStat, Reset)
     EXPECT_EQ(s.sum(), 0.0);
 }
 
-TEST(Histogram, Basics)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1);   // underflow
-    h.add(0.0);  // bucket 0
-    h.add(5.5);  // bucket 5
-    h.add(9.99); // bucket 9
-    h.add(10.0); // overflow (exclusive upper bound)
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(5), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.bucketCount(1), 0u);
-}
-
-TEST(Histogram, BadRangeRejected)
-{
-    EXPECT_THROW(Histogram(5.0, 5.0, 4), FatalError);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), FatalError);
-}
-
-TEST(Histogram, QuantileMonotone)
-{
-    Histogram h(0.0, 100.0, 50);
-    Rng r(3);
-    for (int i = 0; i < 10000; ++i)
-        h.add(r.nextDouble() * 100.0);
-    double q25 = h.quantile(0.25);
-    double q50 = h.quantile(0.50);
-    double q75 = h.quantile(0.75);
-    EXPECT_LE(q25, q50);
-    EXPECT_LE(q50, q75);
-    EXPECT_NEAR(q50, 50.0, 5.0);
-}
-
 TEST(Geomean, KnownValue)
 {
     EXPECT_NEAR(geomean({1.0, 8.0}), std::sqrt(8.0), 1e-12);

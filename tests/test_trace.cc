@@ -20,10 +20,10 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/log.hh"
-#include "common/thread_pool.hh"
 #include "harness/experiment_engine.hh"
 #include "trace/export.hh"
 #include "trace/metrics.hh"
@@ -350,30 +350,35 @@ TEST(TraceSession, ConcurrentEmitStress)
     // sized to hold every event).
     constexpr int kTracks = 8;
     constexpr int kPerTrack = 2000;
+    constexpr int kThreads = 4;
     TraceConfig cfg;
-    // Buffers are per *thread*, and the pool steals work — in the
-    // worst case one thread runs every track, so its ring must hold
-    // all kTracks * kPerTrack events for the exact-count check.
+    // Buffers are per *thread*: each of the kThreads threads emits
+    // kTracks / kThreads tracks, and its ring must hold them all for
+    // the exact-count check.
     cfg.bufferCapacity = 16384;
     TraceSession session(cfg);
     session.install();
     {
-        ThreadPool pool(4);
-        for (int t = 0; t < kTracks; ++t) {
-            pool.submit([t] {
-                TrackScope scope(static_cast<std::uint64_t>(t + 1));
-                for (int i = 0; i < kPerTrack; ++i) {
-                    CASH_TRACE_INSTANT(
-                        Category::Runtime, "tick",
-                        static_cast<Cycle>(i),
-                        {{"track", t + 1}, {"i", i}});
-                    CASH_METRIC_INC("stress.events");
-                    CASH_METRIC_SAMPLE("stress.value",
-                                       static_cast<double>(i));
+        std::vector<std::thread> threads;
+        for (int w = 0; w < kThreads; ++w) {
+            threads.emplace_back([w] {
+                for (int t = w; t < kTracks; t += kThreads) {
+                    TrackScope scope(
+                        static_cast<std::uint64_t>(t + 1));
+                    for (int i = 0; i < kPerTrack; ++i) {
+                        CASH_TRACE_INSTANT(
+                            Category::Runtime, "tick",
+                            static_cast<Cycle>(i),
+                            {{"track", t + 1}, {"i", i}});
+                        CASH_METRIC_INC("stress.events");
+                        CASH_METRIC_SAMPLE("stress.value",
+                                           static_cast<double>(i));
+                    }
                 }
             });
         }
-        pool.wait();
+        for (std::thread &t : threads)
+            t.join();
     }
     session.uninstall();
 
