@@ -91,7 +91,6 @@ main(int argc, char **argv)
             sc.unixPath = strfmt("/tmp/cash_bench_svc.%d.%zu.sock",
                                  static_cast<int>(::getpid()), i);
             sc.shards = shard_grid[pt.h];
-            sc.ioThreads = shard_grid[pt.h] > 1 ? 2 : 1;
             service::ServiceServer server(pp, sc);
             server.start();
 

@@ -63,13 +63,12 @@ PlacementRouter::PlacementRouter(std::uint32_t shards,
     if (shards_ == 0 || shards_ > kMaxShards)
         fatal("region must have 1..%u shards, got %u", kMaxShards,
               shards_);
-    stats_.routed.assign(shards_, 0);
     lastMove_.assign(shards_, 0);
 }
 
 ShardId
 PlacementRouter::chooseShard(const VCoreConfig &entry,
-                             const std::vector<ShardLoad> &loads)
+                             const std::vector<ShardLoad> &loads) const
 {
     if (loads.size() != shards_)
         panic("router given %zu loads for %u shards", loads.size(),
@@ -103,7 +102,6 @@ PlacementRouter::chooseShard(const VCoreConfig &entry,
             if (loads[s].freeSlices > loads[best].freeSlices)
                 best = s;
     }
-    ++stats_.routed[best];
     return best;
 }
 

@@ -129,13 +129,6 @@ struct RebalancePlan
     const char *reason = "";
 };
 
-/** Router counters. */
-struct PlacementStats
-{
-    /** Arrivals routed per shard. */
-    std::vector<std::uint64_t> routed;
-};
-
 /**
  * The region's placement brain. Pure decisions over ShardLoad
  * vectors; the caller owns sampling and execution.
@@ -155,7 +148,7 @@ class PlacementRouter
      * own admission queue/reject path then applies).
      */
     ShardId chooseShard(const VCoreConfig &entry,
-                        const std::vector<ShardLoad> &loads);
+                        const std::vector<ShardLoad> &loads) const;
 
     /**
      * Should `self` shed a tenant, and where to? Fires when its
@@ -173,7 +166,6 @@ class PlacementRouter
     std::uint32_t shards() const { return shards_; }
     PlacementPolicy policy() const { return policy_; }
     const RebalanceParams &rebalance() const { return rebalance_; }
-    const PlacementStats &stats() const { return stats_; }
 
   private:
     bool cooldownOver(ShardId shard, std::uint64_t round) const;
@@ -181,7 +173,6 @@ class PlacementRouter
     std::uint32_t shards_;
     PlacementPolicy policy_;
     RebalanceParams rebalance_;
-    PlacementStats stats_;
     /** Round of each shard's last planned out-migration. */
     std::vector<std::uint64_t> lastMove_;
 };

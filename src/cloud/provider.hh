@@ -116,8 +116,8 @@ struct ProviderParams
  * its class, accrued books, QoS trackers, and the exact position of
  * its deterministic instruction stream. Produced by migrateOut()
  * (which also bills the migration stall into the carried books) and
- * consumed by migrateIn(). The service layer serializes this to
- * JSON for the wire (service/region.hh).
+ * consumed by migrateIn(). The service layer hands it from the
+ * source shard to the target by value (service/core.hh Handoff).
  *
  * Billing algebra: migratedBill/migratedHoldings both include the
  * stall, so on the target shard the audit identity

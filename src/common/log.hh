@@ -61,6 +61,9 @@ std::string vstrfmt(const char *fmt, std::va_list args);
 std::string strfmt(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/** Escape a string for the inside of a JSON string literal. */
+std::string jsonEscape(const std::string &s);
+
 } // namespace cash
 
 #endif // CASH_COMMON_LOG_HH

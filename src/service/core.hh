@@ -29,10 +29,10 @@
  * query are answered from the current view — by read(), from any
  * thread — so a reader never waits for the shard's thread, and when
  * queries arrive does not change what the meters sum. The daemon's
- * IO threads answer reads this way unless the client still has a
+ * IO thread answers reads this way unless the client still has a
  * request in flight; then the read queues behind it, applies here
  * through apply(), and so sees that request's effects. A read answered
- * by an IO thread never meets `queue_full` or `deadline_exceeded`.
+ * by the IO thread never meets `queue_full` or `deadline_exceeded`.
  * The snapshot family (snapshot, shards, region_snapshot,
  * region_energy) still applies on the shard's thread.
  */
@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -55,28 +54,17 @@
 namespace cash::service
 {
 
-/** Serialize a migration snapshot. `src_seed` travels as a decimal
- *  string: JSON numbers are doubles and seeds use all 64 bits. */
-JsonValue snapshotToJson(const cloud::TenantSnapshot &snap);
-
-/** Parse a migration snapshot; nullopt when a field is missing or
- *  out of range. */
-std::optional<cloud::TenantSnapshot>
-snapshotFromJson(const JsonValue &v);
-
 /**
  * A tenant in flight between shards: what migrate-out on the source
- * hands to migrate-in on the target. The snapshot travels as JSON
- * text even in-process, so every migration proves the wire format
- * round-trips.
+ * hands to migrate-in on the target, by value (both ends run in one
+ * process).
  */
 struct Handoff
 {
     std::uint64_t reqId = 0; ///< migrate request id; 0 = rebalance
     cloud::ShardId from = 0;
     cloud::ShardId to = 0;
-    std::uint64_t stallCycles = 0;
-    std::string snapshotJson;
+    cloud::TenantSnapshot snapshot;
 };
 
 /**

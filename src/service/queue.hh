@@ -3,8 +3,8 @@
  * Bounded multi-producer / single-consumer queue with explicit
  * backpressure.
  *
- * The service front-end decodes requests on IO threads and hands
- * them to the single simulation thread through this queue. The
+ * The service front-end decodes requests on its IO thread and
+ * hands them to a shard's simulation thread through this queue. The
  * capacity bound is the server's admission control: when the
  * simulation thread falls behind, tryPush() fails and the IO thread
  * answers `queue_full` immediately instead of buffering unbounded

@@ -161,16 +161,15 @@ mergeShardsParts(std::uint64_t id,
 JsonValue
 mergeRegionSnapshotParts(std::uint64_t id,
                          const std::vector<JsonValue> &parts,
-                         const std::vector<std::uint64_t> &routed,
                          const RegionStats &stats)
 {
     JsonValue resp = mergedOk(id, parts);
     resp.set("shards",
              JsonValue(static_cast<std::uint64_t>(parts.size())));
-    JsonValue routed_arr = JsonValue::array();
-    for (std::uint64_t r : routed)
-        routed_arr.push(JsonValue(r));
-    resp.set("routed", std::move(routed_arr));
+    JsonValue routed = JsonValue::array();
+    for (const JsonValue &p : parts)
+        routed.push(JsonValue(p.getUint("arrivals").value_or(0)));
+    resp.set("routed", std::move(routed));
     resp.set("migrations", JsonValue(stats.migrations));
     resp.set("rebalances", JsonValue(stats.rebalances));
     JsonValue arr = JsonValue::array();
@@ -249,11 +248,9 @@ RegionEngine::route(const Request &req, bool queued_ahead)
         // valid ones are routed on the class's admission minimum.
         r.kind = Route::Kind::Shard;
         const auto &catalog = provider(0).params().catalog;
-        if (req.cls < catalog.size()) {
-            std::vector<cloud::ShardLoad> l = loads();
-            std::lock_guard<std::mutex> lock(mutex_);
-            r.shard = router_.chooseShard(catalog[req.cls].minCfg, l);
-        }
+        if (req.cls < catalog.size())
+            r.shard = router_.chooseShard(catalog[req.cls].minCfg,
+                                          loads());
         return r;
       }
       case Op::Depart:
@@ -320,8 +317,7 @@ RegionEngine::merge(Op op, std::uint64_t id,
       }
       case Op::RegionSnapshot: {
         std::lock_guard<std::mutex> lock(mutex_);
-        return mergeRegionSnapshotParts(id, parts,
-                                        router_.stats().routed, stats_);
+        return mergeRegionSnapshotParts(id, parts, stats_);
       }
       default:
         panic("op %s does not fan out", opName(op));

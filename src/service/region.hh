@@ -13,15 +13,14 @@
  *  - merge(): how the per-shard parts of a fanned-out op become the
  *    region response;
  *  - ServiceCore::migrateOut / migrateIn: how a tenant crosses
- *    shards (a JSON hand-off, even in-process, so every migration
- *    also proves the wire serialization round-trips);
+ *    shards (a Handoff carrying its snapshot by value);
  *  - afterBatch(): when a shard sheds a tenant to rebalance.
  *
  * Two schedulers drive it. RegionCore (below) applies one request at
  * a time and treats each request as one batch; the fuzzer's region
  * family, the unit tests and the perfbench twin use it. ServiceServer
- * (service/server.hh) runs one sim thread per shard behind epoll IO
- * threads. Because both act on the same decisions, a single client
+ * (service/server.hh) runs one sim thread per shard behind one epoll
+ * IO thread. Because both act on the same decisions, a single client
  * gets byte-identical responses from either.
  *
  * Determinism contract: region state is a pure function of the

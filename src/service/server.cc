@@ -100,8 +100,6 @@ ServiceServer::ServiceServer(const cloud::ProviderParams &params,
               config.rebalance),
       shards_(region_.shards())
 {
-    if (config_.ioThreads == 0)
-        config_.ioThreads = 1;
     for (std::uint32_t s = 0; s < shardCount(); ++s)
         shards_[s].queue = std::make_unique<BoundedQueue<SimTask>>(
             config_.queueCapacity);
@@ -109,17 +107,17 @@ ServiceServer::ServiceServer(const cloud::ProviderParams &params,
 
 ServiceServer::~ServiceServer()
 {
-    if (started_.load() && !stopped_.load())
+    // A start() that failed before its threads ran has nothing to
+    // drain.
+    if (ioThread_.joinable() && !stopped_.load())
         stop();
     for (int fd : listenFds_)
         if (fd >= 0)
             ::close(fd);
-    for (auto &io : ioThreads_) {
-        if (io->wakeFd >= 0)
-            ::close(io->wakeFd);
-        if (io->epollFd >= 0)
-            ::close(io->epollFd);
-    }
+    if (wakeFd_ >= 0)
+        ::close(wakeFd_);
+    if (epollFd_ >= 0)
+        ::close(epollFd_);
     if (!config_.unixPath.empty())
         ::unlink(config_.unixPath.c_str());
 }
@@ -181,30 +179,22 @@ ServiceServer::start()
         listenFds_.push_back(fd);
     }
 
-    for (std::uint32_t ti = 0; ti < config_.ioThreads; ++ti) {
-        auto io = std::make_unique<IoThread>();
-        io->epollFd = ::epoll_create1(0);
-        if (io->epollFd < 0)
-            fatal("epoll_create1: %s", std::strerror(errno));
-        io->wakeFd = ::eventfd(0, EFD_NONBLOCK);
-        if (io->wakeFd < 0)
-            fatal("eventfd: %s", std::strerror(errno));
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.u64 = 0;
-        if (::epoll_ctl(io->epollFd, EPOLL_CTL_ADD, io->wakeFd,
-                        &ev)
-            != 0)
-            fatal("epoll_ctl(wake): %s", std::strerror(errno));
-        ioThreads_.push_back(std::move(io));
-    }
-    // Thread 0 owns the listeners.
+    epollFd_ = ::epoll_create1(0);
+    if (epollFd_ < 0)
+        fatal("epoll_create1: %s", std::strerror(errno));
+    wakeFd_ = ::eventfd(0, EFD_NONBLOCK);
+    if (wakeFd_ < 0)
+        fatal("eventfd: %s", std::strerror(errno));
+    epoll_event wake_ev{};
+    wake_ev.events = EPOLLIN;
+    wake_ev.data.u64 = 0;
+    if (::epoll_ctl(epollFd_, EPOLL_CTL_ADD, wakeFd_, &wake_ev) != 0)
+        fatal("epoll_ctl(wake): %s", std::strerror(errno));
     for (std::size_t i = 0; i < listenFds_.size(); ++i) {
         epoll_event ev{};
         ev.events = EPOLLIN;
         ev.data.u64 = 1 + i;
-        if (::epoll_ctl(ioThreads_[0]->epollFd, EPOLL_CTL_ADD,
-                        listenFds_[i], &ev)
+        if (::epoll_ctl(epollFd_, EPOLL_CTL_ADD, listenFds_[i], &ev)
             != 0)
             fatal("epoll_ctl(listener): %s", std::strerror(errno));
     }
@@ -212,34 +202,16 @@ ServiceServer::start()
     for (std::uint32_t s = 0; s < shardCount(); ++s)
         shards_[s].thread =
             std::thread([this, s] { simLoop(s); });
-    for (std::uint32_t ti = 0; ti < config_.ioThreads; ++ti)
-        ioThreads_[ti]->thread =
-            std::thread([this, ti] { ioLoop(ti); });
+    ioThread_ = std::thread([this] { ioLoop(); });
 }
 
 void
-ServiceServer::wake(std::uint32_t ti)
+ServiceServer::wake()
 {
     std::uint64_t one = 1;
     // Best-effort: a saturated counter already guarantees a
     // pending wakeup.
-    [[maybe_unused]] ssize_t n =
-        ::write(ioThreads_[ti]->wakeFd, &one, sizeof(one));
-}
-
-void
-ServiceServer::wakeAll()
-{
-    for (std::uint32_t ti = 0; ti < ioThreads_.size(); ++ti)
-        wake(ti);
-}
-
-void
-ServiceServer::wakeFromSignal()
-{
-    if (!started_.load(std::memory_order_relaxed))
-        return;
-    wakeAll(); // write(2)s only: async-signal-safe
+    [[maybe_unused]] ssize_t n = ::write(wakeFd_, &one, sizeof(one));
 }
 
 void
@@ -249,13 +221,12 @@ ServiceServer::stop()
     if (!started_.load() || stopped_.load())
         return;
 
-    // Phase 1: stop admissions. IO threads close the listeners,
-    // stop reading, and signal quiescence; after that no external
+    // Phase 1: stop admissions. The IO thread closes the listeners,
+    // stops reading, and signals quiescence; after that no external
     // task can enter a queue.
     stopRequested_.store(true);
-    wakeAll();
-    while (ioQuiesced_.load(std::memory_order_acquire)
-           < ioThreads_.size())
+    wake();
+    while (!ioQuiesced_.load(std::memory_order_acquire))
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     for (Shard &sh : shards_)
         sh.queue->closeExternal();
@@ -278,20 +249,19 @@ ServiceServer::stop()
         parts.push_back(sh.drainPartial);
     finalReport_ = region_.merge(Op::Drain, 0, parts);
 
-    // Phase 4: IO threads flush the outboxes and exit.
+    // Phase 4: the IO thread flushes the outboxes and exits.
     simDone_.store(true, std::memory_order_release);
-    wakeAll();
-    for (auto &io : ioThreads_)
-        io->thread.join();
+    wake();
+    ioThread_.join();
     stopped_.store(true);
 }
 
 // ---------------------------------------------------------------
-// IO threads.
+// The IO thread.
 // ---------------------------------------------------------------
 
 void
-ServiceServer::updateInterest(IoThread &io, Connection &conn)
+ServiceServer::updateInterest(Connection &conn)
 {
     std::uint32_t mask = 0;
     if (!conn.readClosed)
@@ -309,14 +279,13 @@ ServiceServer::updateInterest(IoThread &io, Connection &conn)
         // level-triggered epoll its EPOLLHUP would otherwise spin
         // the loop. The mailbox wake fires when a response lands.
         if (conn.registered)
-            ::epoll_ctl(io.epollFd, EPOLL_CTL_DEL, conn.fd,
-                        nullptr);
+            ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, conn.fd, nullptr);
         conn.registered = false;
     } else if (!conn.registered) {
-        ::epoll_ctl(io.epollFd, EPOLL_CTL_ADD, conn.fd, &ev);
+        ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, conn.fd, &ev);
         conn.registered = true;
     } else if (mask != conn.epollMask) {
-        ::epoll_ctl(io.epollFd, EPOLL_CTL_MOD, conn.fd, &ev);
+        ::epoll_ctl(epollFd_, EPOLL_CTL_MOD, conn.fd, &ev);
     }
     conn.epollMask = mask;
 }
@@ -342,27 +311,15 @@ ServiceServer::acceptPending(int listen_fd)
                      sizeof(one));
         auto conn = std::make_unique<Connection>(config_.maxFrame);
         conn->fd = fd;
-        conn->id = nextConnId_.fetch_add(1);
+        conn->id = nextConnId_++;
         conn->lastActivity = Clock::now();
         CASH_METRIC_INC("service.accepted");
         CASH_TRACE_HOST_SPAN(trace::Category::Service, "accept",
                              traceNowUs(), 0.0,
                              {{"conn", conn->id}});
-        std::uint32_t owner =
-            static_cast<std::uint32_t>(conn->id % ioThreads_.size());
-        if (owner == 0) {
-            Connection &c = *conn;
-            ioThreads_[0]->conns.emplace(c.id, std::move(conn));
-            updateInterest(*ioThreads_[0], c);
-        } else {
-            IoThread &target = *ioThreads_[owner];
-            {
-                std::lock_guard<std::mutex> lock(
-                    target.mailboxMutex);
-                target.pendingConns.push_back(std::move(conn));
-            }
-            wake(owner);
-        }
+        Connection &c = *conn;
+        conns_.emplace(c.id, std::move(conn));
+        updateInterest(c);
     }
 }
 
@@ -559,35 +516,26 @@ ServiceServer::serviceWrite(Connection &conn)
 }
 
 void
-ServiceServer::closeConnection(IoThread &io, std::uint64_t conn_id)
+ServiceServer::closeConnection(std::uint64_t conn_id)
 {
-    auto it = io.conns.find(conn_id);
-    if (it == io.conns.end())
+    auto it = conns_.find(conn_id);
+    if (it == conns_.end())
         return;
     ::close(it->second->fd); // closing deregisters from epoll
-    io.conns.erase(it);
+    conns_.erase(it);
 }
 
 void
-ServiceServer::collectMailbox(IoThread &io)
+ServiceServer::collectMailbox()
 {
-    std::vector<std::unique_ptr<Connection>> fresh;
     std::vector<Outgoing> outs;
     {
-        std::lock_guard<std::mutex> lock(io.mailboxMutex);
-        fresh.swap(io.pendingConns);
-        outs.swap(io.outgoing);
-    }
-    for (auto &conn : fresh) {
-        if (stopRequested_.load(std::memory_order_relaxed))
-            conn->readClosed = true;
-        Connection &c = *conn;
-        io.conns.emplace(c.id, std::move(conn));
-        updateInterest(io, c);
+        std::lock_guard<std::mutex> lock(mailboxMutex_);
+        outs.swap(outgoing_);
     }
     for (Outgoing &out : outs) {
-        auto it = io.conns.find(out.connId);
-        if (it == io.conns.end())
+        auto it = conns_.find(out.connId);
+        if (it == conns_.end())
             continue; // client left before its answer was ready
         it->second->outbox += out.framed;
         if (it->second->inFlight > 0)
@@ -597,9 +545,8 @@ ServiceServer::collectMailbox(IoThread &io)
 }
 
 void
-ServiceServer::ioLoop(std::uint32_t ti)
+ServiceServer::ioLoop()
 {
-    IoThread &io = *ioThreads_[ti];
     bool stop_begun = false;
     bool flushing = false;
     Clock::time_point flush_deadline{};
@@ -609,21 +556,19 @@ ServiceServer::ioLoop(std::uint32_t ti)
         if (stopRequested_.load(std::memory_order_relaxed)
             && !stop_begun) {
             stop_begun = true;
-            if (ti == 0) {
-                for (int fd : listenFds_)
-                    if (fd >= 0)
-                        ::close(fd);
-                listenFds_.clear();
-            }
+            for (int fd : listenFds_)
+                if (fd >= 0)
+                    ::close(fd);
+            listenFds_.clear();
             // No more reads: everything already decoded has been
             // routed; quiescence tells stop() the queues can be
             // half-closed.
-            for (auto &kv : io.conns)
+            for (auto &kv : conns_)
                 kv.second->readClosed = true;
-            ioQuiesced_.fetch_add(1, std::memory_order_release);
+            ioQuiesced_.store(true, std::memory_order_release);
         }
 
-        collectMailbox(io);
+        collectMailbox();
 
         if (simDone_.load(std::memory_order_acquire)
             && !flushing) {
@@ -635,7 +580,7 @@ ServiceServer::ioLoop(std::uint32_t ti)
         if (flushing) {
             bool all_flushed = true;
             std::vector<std::uint64_t> dead;
-            for (auto &kv : io.conns) {
+            for (auto &kv : conns_) {
                 Connection &conn = *kv.second;
                 if (!serviceWrite(conn)) {
                     dead.push_back(conn.id);
@@ -645,13 +590,13 @@ ServiceServer::ioLoop(std::uint32_t ti)
                     all_flushed = false;
             }
             for (std::uint64_t id : dead)
-                closeConnection(io, id);
+                closeConnection(id);
             if (all_flushed || Clock::now() >= flush_deadline) {
                 std::vector<std::uint64_t> ids;
-                for (auto &kv : io.conns)
+                for (auto &kv : conns_)
                     ids.push_back(kv.first);
                 for (std::uint64_t id : ids)
-                    closeConnection(io, id);
+                    closeConnection(id);
                 return;
             }
         }
@@ -660,17 +605,17 @@ ServiceServer::ioLoop(std::uint32_t ti)
         // epoll interest for the rest.
         {
             std::vector<std::uint64_t> done;
-            for (auto &kv : io.conns) {
+            for (auto &kv : conns_) {
                 Connection &conn = *kv.second;
                 if (conn.closeAfterFlush && conn.inFlight == 0
                     && conn.outOff >= conn.outbox.size()) {
                     done.push_back(conn.id);
                     continue;
                 }
-                updateInterest(io, conn);
+                updateInterest(conn);
             }
             for (std::uint64_t id : done)
-                closeConnection(io, id);
+                closeConnection(id);
         }
 
         int timeout = -1;
@@ -679,14 +624,14 @@ ServiceServer::ioLoop(std::uint32_t ti)
         } else if (config_.idleTimeoutMs > 0) {
             Clock::time_point now = Clock::now();
             timeout = config_.idleTimeoutMs;
-            for (auto &kv : io.conns) {
+            for (auto &kv : conns_) {
                 int left = config_.idleTimeoutMs
                     - msBetween(kv.second->lastActivity, now);
                 timeout = std::max(0, std::min(timeout, left));
             }
         }
 
-        int rc = ::epoll_wait(io.epollFd, events.data(),
+        int rc = ::epoll_wait(epollFd_, events.data(),
                               static_cast<int>(events.size()),
                               timeout);
         if (rc < 0 && errno != EINTR) {
@@ -701,9 +646,7 @@ ServiceServer::ioLoop(std::uint32_t ti)
             std::uint32_t ev = events[i].events;
             if (tag == 0) {
                 std::uint64_t drained = 0;
-                while (::read(io.wakeFd, &drained,
-                              sizeof(drained))
-                       > 0) {
+                while (::read(wakeFd_, &drained, sizeof(drained)) > 0) {
                 }
                 continue;
             }
@@ -714,8 +657,8 @@ ServiceServer::ioLoop(std::uint32_t ti)
                 continue;
             }
             std::uint64_t id = tag - kConnTagBase;
-            auto it = io.conns.find(id);
-            if (it == io.conns.end())
+            auto it = conns_.find(id);
+            if (it == conns_.end())
                 continue;
             Connection &conn = *it->second;
             if (ev & EPOLLERR) {
@@ -741,19 +684,19 @@ ServiceServer::ioLoop(std::uint32_t ti)
             }
         }
         for (std::uint64_t id : dead)
-            closeConnection(io, id);
+            closeConnection(id);
 
         // --- Idle reaping.
         if (config_.idleTimeoutMs > 0 && !stop_begun) {
             Clock::time_point now = Clock::now();
             std::vector<std::uint64_t> idle;
-            for (auto &kv : io.conns)
+            for (auto &kv : conns_)
                 if (msBetween(kv.second->lastActivity, now)
                     >= config_.idleTimeoutMs)
                     idle.push_back(kv.first);
             for (std::uint64_t id : idle) {
                 CASH_METRIC_INC("service.idle_closed");
-                closeConnection(io, id);
+                closeConnection(id);
             }
         }
     }
@@ -766,14 +709,11 @@ ServiceServer::ioLoop(std::uint32_t ti)
 void
 ServiceServer::publish(std::uint64_t conn_id, std::string framed)
 {
-    std::uint32_t owner =
-        static_cast<std::uint32_t>(conn_id % ioThreads_.size());
-    IoThread &io = *ioThreads_[owner];
     {
-        std::lock_guard<std::mutex> lock(io.mailboxMutex);
-        io.outgoing.push_back({conn_id, std::move(framed)});
+        std::lock_guard<std::mutex> lock(mailboxMutex_);
+        outgoing_.push_back({conn_id, std::move(framed)});
     }
-    wake(owner);
+    wake();
 }
 
 void

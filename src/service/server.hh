@@ -6,14 +6,12 @@
  * Threading model (strict ownership, no shared mutable simulator
  * state):
  *
- *  - N `ioThreads` own the sockets, partitioned by connection id
- *    (owner = id % N). Each runs a level-triggered epoll(7) loop:
- *    thread 0 additionally owns the listeners and hands accepted
- *    connections to their owners through per-thread mailboxes
- *    (mutex + eventfd wake). An IO thread does all reads, frame
- *    decoding, parsing, routing, and writes for its connections;
- *    protocol errors and backpressure (`queue_full`) are answered
- *    in place, so a flooding client cannot wedge a simulator.
+ *  - One IO thread owns the listeners and every connection. It
+ *    runs a level-triggered epoll(7) loop and does all accepts,
+ *    reads, frame decoding, parsing, routing, and writes; protocol
+ *    errors and backpressure (`queue_full`) are answered in place,
+ *    so a flooding client cannot wedge a simulator. Sim threads hand
+ *    responses back through its mailbox (mutex + eventfd wake).
  *
  *  - `shards` simulation threads each own one shard of a
  *    RegionEngine (service/region.hh) behind a BoundedQueue. The IO
@@ -48,12 +46,12 @@
  * daemon bit-for-bit; more shards only partition the sequence.
  *
  * Shutdown (stop(), the SIGTERM path) is a fleet-wide audited
- * drain: stop accepting and reading everywhere, wait for the IO
- * threads to quiesce, half-close the queues (closeExternal), wait
- * for in-flight tasks — migration chains included — to drain,
- * close the queues, let every sim thread drain its provider (final
- * bills + conservation audit), aggregate the per-shard reports into
- * one region report, then flush every outbox and exit.
+ * drain: stop accepting and reading, wait for the IO thread to
+ * quiesce, half-close the queues (closeExternal), wait for in-flight
+ * tasks — migration chains included — to drain, close the queues,
+ * let every sim thread drain its provider (final bills +
+ * conservation audit), aggregate the per-shard reports into one
+ * region report, then flush every outbox and exit.
  */
 
 #ifndef CASH_SERVICE_SERVER_HH
@@ -89,9 +87,8 @@ struct ServerConfig
     std::uint16_t tcpPort = 0;
     /** Per-shard request-queue bound: beyond this the front-end
      *  answers `queue_full`. A region op needs room on every shard
-     *  and then enqueues on all of them at once, so a queue can
-     *  exceed the bound by one part per other IO thread (and by the
-     *  capacity-exempt migration hand-offs). */
+     *  and then enqueues on all of them at once; only the
+     *  capacity-exempt migration hand-offs exceed the bound. */
     std::size_t queueCapacity = 256;
     /** Simulation-thread batch bound per queue drain. */
     std::size_t maxBatch = 64;
@@ -106,8 +103,6 @@ struct ServerConfig
     bool audit = false;
     /** Region size: one provider + sim thread each, 1..256. */
     std::uint32_t shards = 1;
-    /** Socket-owning event-loop threads. */
-    std::uint32_t ioThreads = 1;
     /** Arrival placement policy across the shards. */
     cloud::PlacementPolicy placement =
         cloud::PlacementPolicy::BinPack;
@@ -137,11 +132,6 @@ class ServiceServer
      * for the full sequence.
      */
     void stop();
-
-    /** Wake the event loops for shutdown from a signal handler
-     *  (async-signal-safe; the actual stop() still must be called
-     *  from a normal thread). */
-    void wakeFromSignal();
 
     /** The bound TCP port (after start(); 0 if TCP is off). */
     std::uint16_t tcpPort() const { return boundTcpPort_; }
@@ -244,22 +234,7 @@ class ServiceServer
         JsonValue drainPartial;
     };
 
-    /** One socket-owning event-loop thread. */
-    struct IoThread
-    {
-        int epollFd = -1;
-        int wakeFd = -1; ///< eventfd
-        std::thread thread;
-        std::mutex mailboxMutex;
-        /** Connections accepted by thread 0, awaiting adoption. */
-        std::vector<std::unique_ptr<Connection>> pendingConns;
-        /** Responses published by sim threads. */
-        std::vector<Outgoing> outgoing;
-        /** Owner-thread-only state. */
-        std::map<std::uint64_t, std::unique_ptr<Connection>> conns;
-    };
-
-    void ioLoop(std::uint32_t ti);
+    void ioLoop();
     void simLoop(std::uint32_t shard);
 
     void acceptPending(int listen_fd);
@@ -271,11 +246,11 @@ class ServiceServer
     void enqueueFanout(Connection &conn, const Request &req);
     void respondNow(Connection &conn, const JsonValue &resp);
     bool serviceWrite(Connection &conn);
-    void closeConnection(IoThread &io, std::uint64_t conn_id);
-    void collectMailbox(IoThread &io);
-    void updateInterest(IoThread &io, Connection &conn);
+    void closeConnection(std::uint64_t conn_id);
+    void collectMailbox();
+    void updateInterest(Connection &conn);
 
-    /** Hand a framed response to the owner IO thread. */
+    /** Hand a framed response to the IO thread. */
     void publish(std::uint64_t conn_id, std::string framed);
 
     /** Sim-thread handlers. */
@@ -284,23 +259,32 @@ class ServiceServer
     /** Queue a migrate-in on the hand-off's target shard. */
     void handOff(std::uint64_t conn_id, Handoff h);
 
-    void wake(std::uint32_t ti);
-    void wakeAll();
+    void wake();
 
     ServerConfig config_;
     RegionEngine region_;
     std::vector<Shard> shards_;
-    std::vector<std::unique_ptr<IoThread>> ioThreads_;
 
     std::vector<int> listenFds_;
     std::uint16_t boundTcpPort_ = 0;
 
-    std::atomic<std::uint64_t> nextConnId_{1};
+    // The IO thread and its event loop.
+    int epollFd_ = -1;
+    int wakeFd_ = -1; ///< eventfd
+    std::thread ioThread_;
+    std::mutex mailboxMutex_;
+    /** Responses published by sim threads. */
+    std::vector<Outgoing> outgoing_;
+    /** IO-thread-only state. */
+    std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;
+    std::uint64_t nextConnId_ = 1;
+
     /** Tasks enqueued (external + internal) and not yet fully
      *  processed; stop() waits for 0 before closing the queues so
      *  migration chains complete. */
     std::atomic<std::int64_t> pendingTasks_{0};
-    std::atomic<std::uint32_t> ioQuiesced_{0};
+    /** Set by the IO thread once it has stopped reading. */
+    std::atomic<bool> ioQuiesced_{false};
 
     std::atomic<bool> started_{false};
     std::atomic<bool> stopRequested_{false};

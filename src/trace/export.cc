@@ -10,37 +10,6 @@ namespace cash::trace
 namespace
 {
 
-/** Escape a string for a JSON literal (names here are C literals,
- *  but track names carry user-provided cell keys). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strfmt("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
 /** JSON number: fixed %.17g keeps round-trips exact and output
  *  deterministic; NaN/inf (never emitted by instrumentation, but
  *  arguments are caller data) degrade to 0 to keep the JSON valid. */

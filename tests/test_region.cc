@@ -1,12 +1,12 @@
 /**
  * @file
- * The multi-chip region: tenant id encoding, the migration snapshot
- * wire format, the placement router's policies and triggers,
- * RegionCore request semantics (placement-routed arrivals,
- * cross-shard migration, merged snapshots, aggregated drains), the
- * migration billing algebra, and the threaded epoll server running a
- * real 4-shard region over loopback sockets — answering a single
- * client byte for byte like RegionCore.
+ * The multi-chip region: tenant id encoding, the placement router's
+ * policies and triggers, RegionCore request semantics
+ * (placement-routed arrivals, cross-shard migration, merged
+ * snapshots, aggregated drains), the migration billing algebra, and
+ * the threaded epoll server running a real 4-shard region over
+ * loopback sockets — answering a single client byte for byte like
+ * RegionCore.
  *
  * The billing tests pin the economics the region must preserve: a
  * migrated tenant's final bill equals the stay-put bill plus exactly
@@ -76,86 +76,6 @@ TEST(RegionIds, EncodeDecodeRoundTrip)
     EXPECT_EQ(id, (3u << cloud::kShardShift) | 17u);
 }
 
-// --- Snapshot wire format ---------------------------------------
-
-cloud::TenantSnapshot
-sampleSnapshot()
-{
-    cloud::TenantSnapshot s;
-    s.cls.app = "memcached";
-    s.cls.kind = QosKind::RequestLatency;
-    s.cls.target = 120.0;
-    s.cls.minCfg = {1, 2};
-    s.cls.peakCfg = {3, 8};
-    s.target = 118.5;
-    s.residenceRounds = 40;
-    s.activeRounds = 12;
-    s.migratedBill = 3.25;
-    s.migratedHoldings = 3.5;
-    s.unbilledCompactCost = 0.125;
-    s.qosSamples = 9;
-    s.qosViolations = 2;
-    s.ewmaQ = 0.875;
-    // All 64 bits must survive: doubles cannot carry this value.
-    s.srcSeed = 0xDEADBEEFCAFEF00Dull;
-    s.srcEmitted = 123'456;
-    s.heldCfg = {2, 6};
-    s.stallCycles = 8064;
-    s.hops = 2;
-    return s;
-}
-
-TEST(SnapshotJson, RoundTripsEveryField)
-{
-    cloud::TenantSnapshot s = sampleSnapshot();
-    std::string wire = snapshotToJson(s).dump();
-    auto doc = parseJson(wire);
-    ASSERT_TRUE(doc.has_value());
-    auto back = snapshotFromJson(*doc);
-    ASSERT_TRUE(back.has_value());
-
-    EXPECT_EQ(back->cls.app, s.cls.app);
-    EXPECT_EQ(back->cls.kind, s.cls.kind);
-    EXPECT_EQ(back->cls.target, s.cls.target);
-    EXPECT_EQ(back->cls.minCfg, s.cls.minCfg);
-    EXPECT_EQ(back->cls.peakCfg, s.cls.peakCfg);
-    EXPECT_EQ(back->target, s.target);
-    EXPECT_EQ(back->residenceRounds, s.residenceRounds);
-    EXPECT_EQ(back->activeRounds, s.activeRounds);
-    EXPECT_EQ(back->migratedBill, s.migratedBill);
-    EXPECT_EQ(back->migratedHoldings, s.migratedHoldings);
-    EXPECT_EQ(back->unbilledCompactCost, s.unbilledCompactCost);
-    EXPECT_EQ(back->qosSamples, s.qosSamples);
-    EXPECT_EQ(back->qosViolations, s.qosViolations);
-    EXPECT_EQ(back->ewmaQ, s.ewmaQ);
-    EXPECT_EQ(back->srcSeed, s.srcSeed);
-    EXPECT_EQ(back->srcEmitted, s.srcEmitted);
-    EXPECT_EQ(back->heldCfg, s.heldCfg);
-    EXPECT_EQ(back->stallCycles, s.stallCycles);
-    EXPECT_EQ(back->hops, s.hops);
-}
-
-TEST(SnapshotJson, RejectsDamagedDocuments)
-{
-    JsonValue good = snapshotToJson(sampleSnapshot());
-    ASSERT_TRUE(snapshotFromJson(good).has_value());
-
-    // Each damaged variant must be refused, not half-parsed.
-    auto damaged = [&](const char *key, JsonValue v) {
-        JsonValue doc = *parseJson(good.dump());
-        doc.set(key, std::move(v));
-        return snapshotFromJson(doc).has_value();
-    };
-    EXPECT_FALSE(damaged("app", JsonValue(std::string())));
-    EXPECT_FALSE(damaged("kind", JsonValue(2u)));
-    EXPECT_FALSE(damaged("bill", JsonValue(-1.0)));
-    EXPECT_FALSE(damaged("min_slices", JsonValue(0u)));
-    EXPECT_FALSE(damaged("hops", JsonValue(0u)));
-    EXPECT_FALSE(damaged("src_seed", JsonValue("12x4")));
-    EXPECT_FALSE(damaged("src_seed", JsonValue(std::string())));
-    EXPECT_FALSE(snapshotFromJson(JsonValue(1.0)).has_value());
-}
-
 // --- Placement router -------------------------------------------
 
 cloud::ShardLoad
@@ -187,10 +107,6 @@ TEST(Router, BinPackPrefersTightestFitSpreadPrefersEmptiest)
     cloud::PlacementRouter spread(2, cloud::PlacementPolicy::Spread,
                                   {});
     EXPECT_EQ(spread.chooseShard(entry, loads), 0u);
-
-    // Router statistics track per-shard routed arrivals.
-    EXPECT_EQ(binpack.stats().routed[1], 1u);
-    EXPECT_EQ(spread.stats().routed[0], 1u);
 }
 
 TEST(Router, NoFitFallsBackToEmptiestShard)
@@ -494,6 +410,33 @@ TEST(RegionCoreTest, SnapshotAndShardsMergeAcrossTheRegion)
     EXPECT_EQ(routed_total, 2.0);
 }
 
+TEST(RegionCoreTest, RoutedCountsOnlyArrivalsAShardApplied)
+{
+    // An arrive refused after routing (here `draining`) is not an
+    // arrival: `routed` must equal every shard's own count.
+    RegionCore region(tinyRegionParams(), 2,
+                      /*audit_each_quantum=*/false);
+    arriveOn(region);
+    applyOp(region, Op::Drain);
+    Request late;
+    late.id = 1000;
+    late.op = Op::Arrive;
+    late.residence = 200;
+    EXPECT_EQ(region.apply(late).getString("error"), errors::Draining);
+
+    JsonValue rs = applyOp(region, Op::RegionSnapshot);
+    const JsonValue *routed = rs.find("routed");
+    const JsonValue *per = rs.find("per_shard");
+    ASSERT_NE(routed, nullptr);
+    ASSERT_NE(per, nullptr);
+    ASSERT_EQ(routed->items().size(), 2u);
+    ASSERT_EQ(per->items().size(), 2u);
+    for (std::size_t s = 0; s < 2; ++s)
+        EXPECT_EQ(routed->items()[s].number(),
+                  per->items()[s].getNumber("arrivals").value_or(-1))
+            << "shard " << s << ": " << rs.dump();
+}
+
 TEST(RegionCoreTest, DrainAggregatesAuditedBills)
 {
     RegionCore region(tinyRegionParams(), 2,
@@ -650,7 +593,6 @@ TEST(RegionServer, FourShardsOverLoopbackWithWireMigration)
     sc.unixPath = testSocketPath("region");
     sc.audit = true;
     sc.shards = 4;
-    sc.ioThreads = 2;
     sc.rebalance.enabled = false; // explicit migrations only
     ServiceServer server(tinyRegionParams(), sc);
     server.start();
@@ -907,7 +849,6 @@ recordTwinLog(RegionCore &region)
 struct TwinConfig
 {
     std::uint32_t shards;
-    std::uint32_t ioThreads;
     cloud::PlacementPolicy policy;
 };
 
@@ -915,7 +856,7 @@ struct TwinConfig
 void
 PrintTo(const TwinConfig &tc, std::ostream *os)
 {
-    *os << strfmt("%ushards_%uio_%s", tc.shards, tc.ioThreads,
+    *os << strfmt("%ushards_%s", tc.shards,
                   cloud::placementPolicyName(tc.policy));
 }
 
@@ -942,7 +883,6 @@ TEST_P(RegionTwinTest, ServerAnswersByteForByteLikeRegionCore)
                 .c_str());
         sc.audit = true;
         sc.shards = tc.shards;
-        sc.ioThreads = tc.ioThreads;
         sc.placement = tc.policy;
         sc.rebalance = off;
         ServiceServer server(tinyRegionParams(), sc);
@@ -963,11 +903,11 @@ TEST_P(RegionTwinTest, ServerAnswersByteForByteLikeRegionCore)
 INSTANTIATE_TEST_SUITE_P(
     Configs, RegionTwinTest,
     ::testing::Values(
-        TwinConfig{1, 1, cloud::PlacementPolicy::BinPack},
-        TwinConfig{2, 1, cloud::PlacementPolicy::BinPack},
-        TwinConfig{2, 1, cloud::PlacementPolicy::Spread},
-        TwinConfig{4, 2, cloud::PlacementPolicy::BinPack},
-        TwinConfig{4, 2, cloud::PlacementPolicy::Spread}));
+        TwinConfig{1, cloud::PlacementPolicy::BinPack},
+        TwinConfig{2, cloud::PlacementPolicy::BinPack},
+        TwinConfig{2, cloud::PlacementPolicy::Spread},
+        TwinConfig{4, cloud::PlacementPolicy::BinPack},
+        TwinConfig{4, cloud::PlacementPolicy::Spread}));
 
 } // namespace
 } // namespace cash::service

@@ -9,8 +9,11 @@
  *   cash_serviced --unix /tmp/cash.sock
  *   cash_serviced --tcp 0            # ephemeral port, printed
  *   cash_serviced --unix s.sock --queue-cap 64 --deadline-ms 200
- *   cash_serviced --unix s.sock --shards 4 --io-threads 2 \
- *       --placement spread --migrate-frag 1.5
+ *   cash_serviced --unix s.sock --shards 4 --placement spread \
+ *       --migrate-frag 1.5
+ *
+ * One IO thread serves every connection from one epoll loop; each
+ * shard has its own simulation thread (service/server.hh).
  *
  * Each provider's stochastic arrival stream is off: every tenant
  * enters and leaves through requests, so each shard's state is a
@@ -136,10 +139,6 @@ main(int argc, char **argv)
                 need(i, arg);
                 cfg.shards = static_cast<std::uint32_t>(
                     std::strtoul(argv[++i], nullptr, 10));
-            } else if (!std::strcmp(arg, "--io-threads")) {
-                need(i, arg);
-                cfg.ioThreads = static_cast<std::uint32_t>(
-                    std::strtoul(argv[++i], nullptr, 10));
             } else if (!std::strcmp(arg, "--placement")) {
                 need(i, arg);
                 auto p =
@@ -169,7 +168,7 @@ main(int argc, char **argv)
                       "--queue-cap, --max-batch, --max-frame, "
                       "--idle-timeout-ms, --deadline-ms, --audit, "
                       "--seed, --quantum, --coarse, --sampled, "
-                      "--rows, --shards, --io-threads, --placement, "
+                      "--rows, --shards, --placement, "
                       "--migrate-frag, --migrate-imbalance, "
                       "--migrate-cooldown, --no-rebalance, "
                       "--trace, --metrics)",

@@ -773,7 +773,7 @@ replayService(const std::vector<Op> &ops, std::uint64_t seed)
  * Region-layer replay: a two-shard RegionCore on tight FineGrain
  * chips, driven through the same Request objects the wire would
  * deliver — placement-routed arrivals, region-id departs/queries,
- * cross-shard migrations (serialize → JSON → replay), region
+ * cross-shard migrations (migrate-out → hand-off → migrate-in), region
  * snapshots, and the aggregated drain. auditProvider runs on EVERY
  * shard after every op, so a migration that double-bills, leaks a
  * holding, or breaks lifecycle algebra on either side fails the op

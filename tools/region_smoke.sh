@@ -4,8 +4,9 @@
 # (loadgen --migrate-prob) and trigger-driven (aggressive rebalance
 # thresholds) — then a SIGTERM drain that must exit 0 with ONE
 # aggregated, audited bill report on stdout. Fails unless at least
-# one migration actually happened. Used as a ctest and by the CI
-# region job.
+# one migration actually happened, and unless the daemon's stats line
+# counts the requests and queue_full answers the loadgen saw. Used as
+# a ctest and by the CI region job.
 set -eu
 
 SERVICED=$1
@@ -18,6 +19,7 @@ DIR=$(mktemp -d)
 SOCK="$DIR/cash.sock"
 OUT="$DIR/serviced.out"
 ERR="$DIR/serviced.err"
+LG="$DIR/loadgen.out"
 
 cleanup() {
     [ -n "${PID:-}" ] && kill "$PID" 2>/dev/null || true
@@ -30,7 +32,7 @@ trap cleanup EXIT
 # tenant, with a 2-round cooldown per shard. Small rows/quantum keep
 # the per-step simulation cost low — this test is about the region
 # plumbing, not fabric scale.
-"$SERVICED" --unix "$SOCK" --shards "$SHARDS" --io-threads 2 \
+"$SERVICED" --unix "$SOCK" --shards "$SHARDS" \
     --queue-cap 512 --rows 4 --quantum 100000 \
     --migrate-frag 0.5 --migrate-imbalance 0.05 \
     --migrate-cooldown 2 > "$OUT" 2> "$ERR" &
@@ -51,7 +53,8 @@ done
 # every response (dropped=0 is loadgen's exit-0 contract).
 "$LOADGEN" --unix "$SOCK" --sessions "$SESSIONS" \
     --requests "$REQUESTS" --migrate-prob 0.10 --step-prob 0.20 \
-    --seed 5
+    --seed 5 > "$LG" || { cat "$LG"; exit 1; }
+cat "$LG"
 
 kill -TERM "$PID"
 if ! wait "$PID"; then
@@ -78,4 +81,21 @@ if [ -z "$MIGRATIONS" ] || [ "$MIGRATIONS" -lt 1 ]; then
     exit 1
 fi
 
-echo "region_smoke: OK ($MIGRATIONS migration(s) across $SHARDS shards)"
+# The stats line reads the always-on counters: across every shard,
+# its request and queue_full counts must equal what the loadgen saw.
+STATS=$(grep 'request(s) over' "$ERR" || true)
+SENT=$(sed -n 's/^loadgen: .* sent=\([0-9]*\) .*/\1/p' "$LG")
+LG_FULL=$(sed -n 's/^loadgen: .* queue_full=\([0-9]*\) .*/\1/p' "$LG")
+REQS=$(echo "$STATS" | sed -n 's/.* \([0-9]*\) request(s) over .*/\1/p')
+FULL=$(echo "$STATS" | sed -n 's/.* queue_full=\([0-9]*\) .*/\1/p')
+if [ -z "$SENT" ] || [ -z "$LG_FULL" ] || [ "$REQS" != "$SENT" ] \
+    || [ "$FULL" != "$LG_FULL" ]; then
+    echo "region_smoke: stats line disagrees with the loadgen" \
+         "(daemon requests=${REQS:-} queue_full=${FULL:-};" \
+         "loadgen sent=${SENT:-} queue_full=${LG_FULL:-})" >&2
+    cat "$ERR" >&2
+    exit 1
+fi
+
+echo "region_smoke: OK ($MIGRATIONS migration(s) across $SHARDS shards," \
+     "$REQS request(s), queue_full=$FULL)"
