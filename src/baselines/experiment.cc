@@ -43,7 +43,7 @@ runPolicy(const AppModel &app, const AppProfile &profile,
 {
     SSim sim(params.fabric, params.sim);
     if (params.simMode == SimMode::Sampled)
-        sim.setSampling(SimMode::Sampled, params.sampler);
+        sim.setSampling(SimMode::Sampled);
     const VCoreConfig &start = space.base();
     auto id = sim.createVCore(start.slices, start.banks);
     if (!id)

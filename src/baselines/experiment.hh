@@ -61,8 +61,6 @@ struct ExperimentParams
     /** Full or sampled simulation (bench --sampled sets Sampled;
      *  results then carry the error-gate bound, see DESIGN.md §12). */
     SimMode simMode = SimMode::Full;
-    /** Slice-sampling schedule when simMode is Sampled. */
-    SamplerParams sampler;
 };
 
 /**

@@ -11,6 +11,29 @@
 namespace cash
 {
 
+namespace
+{
+
+/** Q-learning rate alpha (Eqn 7). */
+constexpr double kAlpha = 0.3;
+/** Kalman process variance. */
+constexpr double kKalmanProcessVar = 1e-3;
+/** Kalman measurement variance r (hardware property). */
+constexpr double kKalmanMeasVar = 4e-3;
+/** Fraction of the quantum an exploration slot may use. */
+constexpr double kExploreFrac = 0.08;
+/** Relative innovation that signals a phase change. */
+constexpr double kPhaseThreshold = 0.25;
+/** Slots shorter than this fraction of the quantum are merged into
+ *  the other slot (a reconfiguration would cost more than the slot
+ *  delivers). */
+constexpr double kMinSlotFrac = 0.10;
+/** Upper bound for the controller's demand (normalized QoS units;
+ *  also bounds the reported speedup via b). */
+constexpr double kMaxSpeedup = 8.0;
+
+} // namespace
+
 CashRuntime::CashRuntime(SSim &sim, VCoreId id, QosKind kind,
                          double target, const ConfigSpace &space,
                          const CostModel &cost,
@@ -19,10 +42,10 @@ CashRuntime::CashRuntime(SSim &sim, VCoreId id, QosKind kind,
     : sim_(sim), id_(id), space_(space), cost_(cost),
       params_(params),
       monitor_(sim, id, kind, target),
-      ctrl_(0.0, params.maxSpeedup, params.guardBand,
-            params.deadband, params.controlGain),
-      kalman_(1.0, params.kalmanProcessVar, params.kalmanMeasVar),
-      learner_(space, params.alpha, 1.0,
+      ctrl_(0.0, kMaxSpeedup, params.guardBand, params.deadband,
+            params.controlGain),
+      kalman_(1.0, kKalmanProcessVar, kKalmanMeasVar),
+      learner_(space, kAlpha, 1.0,
                kind == QosKind::RequestLatency),
       optimizer_(space, cost),
       rng_(seed),
@@ -53,7 +76,7 @@ CashRuntime::CashRuntime(SSim &sim, VCoreId id, QosKind kind,
         dvfsLearners_.reserve(kNumPStates - 1);
         for (std::uint32_t p = 1; p < kNumPStates; ++p) {
             dvfsLearners_.emplace_back(
-                space, params.alpha, pstateTable()[p].freqScale(),
+                space, kAlpha, pstateTable()[p].freqScale(),
                 true);
         }
     }
@@ -127,7 +150,9 @@ CashRuntime::selectPState(double q_demand, QuantumStats &st)
     // Solve the tile LP against every P-state's learned table and
     // price each candidate schedule in $/s (tiles + joules). The
     // cheapest feasible operating point wins; if none promises the
-    // demand, the fastest one does. The incumbent gets the same
+    // demand, the fastest one does. Every P-state must promise the
+    // same demand: a higher bar for downclocks bought no QoS and
+    // cost joules (EXPERIMENTS.md). The incumbent gets the same
     // stickiness margin as tile configurations — a PLL relock and
     // two cold tables are not worth a near-tie.
     std::uint32_t best_p = currentPState_;
@@ -142,27 +167,13 @@ CashRuntime::selectPState(double q_demand, QuantumStats &st)
             q_demand, params_.quantum,
             [&lrn](std::size_t k) { return lrn.qhat(k); });
         double rate = dollarRate(p, s);
-        // The incumbent keeps its stickiness margin only while it
-        // delivers: an under-delivering P-state whose table has not
-        // caught up yet must not be able to defend itself with a
-        // discount.
-        if (p == currentPState_
-            && lastQ_ >= 1.0 - params_.violationTolerance)
+        if (p == currentPState_)
             rate *= 1.0 - params_.stickiness;
         if (s.expectedSpeedup > fastest_speed) {
             fastest_speed = s.expectedSpeedup;
             fastest_p = p;
         }
-        // The controller's demand dips below 1 while the plant
-        // over-delivers; tiles may track it (the LP idles the
-        // tail), but a downclock must still promise the target
-        // plus the guard band — its table is one phase drift away
-        // from wrong, and a P-state predicted to deliver at the
-        // violation edge is a planned violation, not a savings.
-        double q_floor = p == 0 ? q_demand
-                                : std::max(q_demand,
-                                           params_.guardBand);
-        if (s.expectedSpeedup + 1e-9 >= q_floor
+        if (s.expectedSpeedup + 1e-9 >= q_demand
             && (!have_feasible || rate < best_rate)) {
             have_feasible = true;
             best_rate = rate;
@@ -313,7 +324,7 @@ CashRuntime::step()
     double b_hat =
         prev_probe ? b_pre : kalman_.update(lastQ_, lastS_);
     if (!prev_probe
-        && kalman_.innovation() > params_.phaseThreshold) {
+        && kalman_.innovation() > kPhaseThreshold) {
         st.phaseDetected = true;
         CASH_TRACE_INSTANT(trace::Category::Runtime, "phase_change",
                            q_start,
@@ -418,7 +429,7 @@ CashRuntime::step()
 
     // Merge slots too short to amortize a reconfiguration.
     auto min_slot = static_cast<Cycle>(
-        params_.minSlotFrac * static_cast<double>(params_.quantum));
+        kMinSlotFrac * static_cast<double>(params_.quantum));
     if (sched.tOver > 0 && sched.tOver < min_slot
         && sched.tUnder > 0) {
         sched.tUnder += sched.tOver;
@@ -441,8 +452,7 @@ CashRuntime::step()
         cfg_explore = static_cast<std::size_t>(
             rng_.nextBounded(space_.size()));
         t_explore = static_cast<Cycle>(
-            params_.exploreFrac
-            * static_cast<double>(params_.quantum));
+            kExploreFrac * static_cast<double>(params_.quantum));
         Cycle &donor = sched.tUnder >= t_explore ? sched.tUnder
                                                  : sched.tOver;
         donor = donor >= t_explore ? donor - t_explore : 0;

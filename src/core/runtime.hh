@@ -40,22 +40,15 @@ namespace cash
 {
 
 /**
- * Tunables of the CASH runtime.
+ * Tunables of the CASH runtime (its fixed constants live in
+ * runtime.cc).
  */
 struct RuntimeParams
 {
     /** Quantum length tau in cycles. */
     Cycle quantum = 500'000;
-    /** Q-learning rate alpha (Eqn 7). */
-    double alpha = 0.3;
-    /** Kalman process variance. */
-    double kalmanProcessVar = 1e-3;
-    /** Kalman measurement variance r (hardware property). */
-    double kalmanMeasVar = 4e-3;
     /** Probability of an exploration slot per quantum. */
     double epsilon = 0.03;
-    /** Fraction of the quantum an exploration slot may use. */
-    double exploreFrac = 0.08;
     /** Controller setpoint above the target (guard band). */
     double guardBand = 1.05;
     /** Controller deadband: errors smaller than this hold the
@@ -64,25 +57,16 @@ struct RuntimeParams
     /** Controller damping (1.0 = pure deadbeat; below 1 adds the
      *  stability margin a delayed loop needs). */
     double controlGain = 0.6;
-    /** Relative innovation that signals a phase change. */
-    double phaseThreshold = 0.25;
     /** Keep the incumbent over/under configuration when the newly
      *  selected one promises less than this much improvement — a
      *  reconfiguration (cold caches) costs more than a near-tie. */
     double stickiness = 0.05;
-    /** Slots shorter than this fraction of the quantum are merged
-     *  into the other slot (a reconfiguration would cost more than
-     *  the slot delivers). */
-    double minSlotFrac = 0.10;
     /** QoS violation tolerance (normalized; a sample whose
      *  short-window mean falls below 1 - tolerance is a
      *  violation). */
     double violationTolerance = 0.05;
     /** Start-up quanta excluded from violation accounting. */
     std::uint32_t warmupQuanta = 5;
-    /** Upper bound for the controller's demand (normalized QoS
-     *  units; also bounds the reported speedup via b). */
-    double maxSpeedup = 8.0;
     /** Enable the joint (tiles x frequency) action space: one
      *  speedup table per DVFS P-state, a per-quantum P-state pick
      *  minimizing the estimated tile + energy $ rate among feasible

@@ -282,20 +282,4 @@ ServiceClient::shards()
     return call(r);
 }
 
-JsonValue
-ServiceClient::regionSnapshot()
-{
-    Request r;
-    r.op = Op::RegionSnapshot;
-    return call(r);
-}
-
-JsonValue
-ServiceClient::regionEnergy()
-{
-    Request r;
-    r.op = Op::RegionEnergy;
-    return call(r);
-}
-
 } // namespace cash::service

@@ -80,15 +80,13 @@ class ServiceClient
     JsonValue snapshot();
     JsonValue drain();
 
-    /** Region ops (single-shard servers answer shards()/
-     *  regionSnapshot() with a one-entry region and reject
-     *  migrate()). `to` defaults to Request::kAutoShard: the
-     *  placement router picks the emptiest other shard. */
+    /** Region ops (single-shard servers answer shards() with a
+     *  one-entry region and reject migrate()). `to` defaults to
+     *  Request::kAutoShard: the placement router picks the emptiest
+     *  other shard. */
     JsonValue migrate(std::uint32_t tenant,
                       std::uint32_t to = Request::kAutoShard);
     JsonValue shards();
-    JsonValue regionSnapshot();
-    JsonValue regionEnergy();
 
     /** Half-close: no more requests; the server flushes pending
      *  responses and then closes (next()/wait() keep working). */

@@ -113,22 +113,12 @@ ServiceCore::apply(const Request &req)
         resp = applyStep(req);
         break;
       case Op::Snapshot:
+      case Op::Shards:
         resp = applySnapshot(req);
         break;
       case Op::Drain:
         resp = drainReport();
         resp.set("id", JsonValue(req.id));
-        break;
-      case Op::Shards:
-        resp = applyShardInfo(req);
-        break;
-      case Op::RegionSnapshot:
-        // One shard's contribution; region engines merge these.
-        resp = applySnapshot(req);
-        resp.set("shard", JsonValue(shardId_));
-        break;
-      case Op::RegionEnergy:
-        resp = applyEnergy(req);
         break;
       case Op::Migrate:
         resp = errorResponse(req.id, errors::BadRequest,
@@ -259,41 +249,17 @@ ServiceCore::applySnapshot(const Request &req)
     resp.set("joules", JsonValue(st.dissipatedJoules));
     resp.set("energy_revenue",
              JsonValue(provider_.energyRevenue()));
-    return resp;
-}
-
-JsonValue
-ServiceCore::applyEnergy(const Request &req)
-{
-    // One shard's energy ledgers; region engines sum these. The
-    // fields mirror ProviderStats' conservation identity, so a
-    // region-wide audit can be recomputed from the wire.
-    const cloud::ProviderStats &st = provider_.stats();
-    JsonValue resp = okResponse(req.id);
+    // Only shards lists these per shard; snapshot's merge drops them.
     resp.set("shard", JsonValue(shardId_));
-    resp.set("round", JsonValue(provider_.round()));
-    resp.set("dissipated_joules", JsonValue(st.dissipatedJoules));
+    resp.set("fragmentation", JsonValue(al.fragmentation()));
+    // The rest of ProviderStats' conservation identity (joules is
+    // the dissipated ledger), so a region-wide energy audit can be
+    // recomputed from the wire.
     resp.set("departed_joules", JsonValue(st.departedJoules));
     resp.set("exported_joules", JsonValue(st.exportedJoules));
     resp.set("overhead_joules", JsonValue(st.overheadJoules));
-    resp.set("energy_revenue", JsonValue(provider_.energyRevenue()));
     resp.set("price_per_kwh",
              JsonValue(provider_.params().sim.energy.pricePerKwh));
-    return resp;
-}
-
-JsonValue
-ServiceCore::applyShardInfo(const Request &req)
-{
-    cloud::ShardLoad l = load();
-    JsonValue resp = okResponse(req.id);
-    resp.set("shard", JsonValue(shardId_));
-    resp.set("round", JsonValue(l.round));
-    resp.set("active", JsonValue(l.active));
-    resp.set("queued", JsonValue(l.queued));
-    resp.set("free_slices", JsonValue(l.freeSlices));
-    resp.set("free_banks", JsonValue(l.freeBanks));
-    resp.set("fragmentation", JsonValue(l.fragmentation));
     return resp;
 }
 

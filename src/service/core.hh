@@ -33,8 +33,10 @@
  * request in flight; then the read queues behind it, applies here
  * through apply(), and so sees that request's effects. A read answered
  * by the IO thread never meets `queue_full` or `deadline_exceeded`.
- * The snapshot family (snapshot, shards, region_snapshot,
- * region_energy) still applies on the shard's thread.
+ * The two region reads, snapshot and shards, still apply on the
+ * shard's thread: each shard builds one snapshot part, which the
+ * region engine merges into region totals (snapshot) or lists per
+ * shard (shards).
  */
 
 #ifndef CASH_SERVICE_CORE_HH
@@ -120,7 +122,8 @@ class ServiceCore
      *  Op::Migrate crosses shards, so it goes through
      *  migrateOut/migrateIn and answers bad_request here;
      *  the fan-out ops produce this shard's part, which the region
-     *  engine merges; ping and query are answered by read(). */
+     *  engine merges (snapshot and shards share one part); ping and
+     *  query are answered by read(). */
     JsonValue apply(const Request &req);
 
     /** Answer a ping or a query from the published view. Touches no
@@ -152,7 +155,6 @@ class ServiceCore
     {
         return provider_;
     }
-    cloud::ShardId shardId() const { return shardId_; }
 
     /** This shard's occupancy as last published (any thread). */
     cloud::ShardLoad load() const { return view()->load; }
@@ -161,9 +163,9 @@ class ServiceCore
     JsonValue applyArrive(const Request &req);
     JsonValue applyDepart(const Request &req);
     JsonValue applyStep(const Request &req);
+    /** This shard's part of a snapshot or shards answer: its
+     *  counters, SLA tallies, placement state and joule ledgers. */
     JsonValue applySnapshot(const Request &req);
-    JsonValue applyShardInfo(const Request &req);
-    JsonValue applyEnergy(const Request &req);
 
     /** Map a region tenant id onto this shard; sets *resp to an
      *  unknown_tenant error and returns false when it lives

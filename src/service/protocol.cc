@@ -20,8 +20,6 @@ opName(Op op)
       case Op::Drain: return "drain";
       case Op::Shards: return "shards";
       case Op::Migrate: return "migrate";
-      case Op::RegionSnapshot: return "region_snapshot";
-      case Op::RegionEnergy: return "region_energy";
     }
     return "?";
 }
@@ -47,10 +45,6 @@ opFromName(std::string_view name)
         return Op::Shards;
     if (name == "migrate")
         return Op::Migrate;
-    if (name == "region_snapshot")
-        return Op::RegionSnapshot;
-    if (name == "region_energy")
-        return Op::RegionEnergy;
     return std::nullopt;
 }
 

@@ -19,8 +19,6 @@
  *   {"id":N,"op":"snapshot"}
  *   {"id":N,"op":"drain"}
  *   {"id":N,"op":"shards"}
- *   {"id":N,"op":"region_snapshot"}
- *   {"id":N,"op":"region_energy"}
  *   {"id":N,"op":"migrate","tenant":T}          — router picks
  *   {"id":N,"op":"migrate","tenant":T,"to":S}   — explicit shard
  *
@@ -79,10 +77,8 @@ enum class Op : std::uint8_t
     Step,     ///< advance the provider by N quanta
     Snapshot, ///< provider-wide stats and occupancy
     Drain,    ///< stop admissions, depart everyone, final bills
-    Shards,   ///< region shard count + per-shard occupancy
+    Shards,   ///< placement stats + every shard's snapshot part
     Migrate,  ///< move a tenant to another shard (region only)
-    RegionSnapshot, ///< per-shard snapshots + placement stats
-    RegionEnergy,   ///< per-shard energy ledgers + region totals
 };
 
 /** Wire name of an op ("ping", "arrive", ...). */

@@ -8,7 +8,9 @@
  * capacity bound is the server's admission control: when the
  * simulation thread falls behind, tryPush() fails and the IO thread
  * answers `queue_full` immediately instead of buffering unbounded
- * work (or worse, silently dropping it).
+ * work (or worse, silently dropping it). Requests enter only through
+ * the IO thread, which stops reading before shutdown close()s the
+ * queue, so the queue needs no half-closed state.
  *
  * A mutex + condvar is the right tool here: pushes happen per
  * request (network cadence, thousands/s), not per simulated
@@ -40,8 +42,7 @@ class BoundedQueue
     {
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            if (closed_ || externClosed_
-                || items_.size() >= capacity_)
+            if (closed_ || items_.size() >= capacity_)
                 return false;
             items_.push_back(std::move(item));
         }
@@ -50,11 +51,11 @@ class BoundedQueue
     }
 
     /**
-     * Capacity-exempt enqueue for consumer-side work (the sim
-     * threads' migration hand-offs). Lands even after
-     * closeExternal() — the shutdown protocol counts these tasks
-     * and only close()s once they have drained — so it must never
-     * be called after close().
+     * Capacity-exempt enqueue: a fanned-out op's parts, which have
+     * already passed the capacity check, and the sim threads'
+     * migration hand-offs. The shutdown protocol counts these tasks
+     * and only close()s once they have drained, so it must never be
+     * called after close().
      */
     void pushInternal(T item)
     {
@@ -100,21 +101,6 @@ class BoundedQueue
         ready_.notify_all();
     }
 
-    /** Half-close: reject external tryPush()es while the consumer
-     *  keeps blocking for internal work. The shutdown step between
-     *  "stop admitting" and close(). Idempotent. */
-    void closeExternal()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        externClosed_ = true;
-    }
-
-    bool closed() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return closed_;
-    }
-
     std::size_t size() const
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -129,7 +115,6 @@ class BoundedQueue
     std::condition_variable ready_;
     std::deque<T> items_;
     bool closed_ = false;
-    bool externClosed_ = false;
 };
 
 } // namespace cash::service

@@ -110,34 +110,8 @@ mergeSnapshotParts(std::uint64_t id,
     return resp;
 }
 
-/** region_energy: every joule ledger and the energy revenue summed,
- *  plus "per_shard":[parts]. */
-JsonValue
-mergeEnergyParts(std::uint64_t id,
-                 const std::vector<JsonValue> &parts)
-{
-    JsonValue resp = mergedOk(id, parts);
-    resp.set("dissipated_joules",
-             JsonValue(sumNumber(parts, "dissipated_joules")));
-    resp.set("departed_joules",
-             JsonValue(sumNumber(parts, "departed_joules")));
-    resp.set("exported_joules",
-             JsonValue(sumNumber(parts, "exported_joules")));
-    resp.set("overhead_joules",
-             JsonValue(sumNumber(parts, "overhead_joules")));
-    resp.set("energy_revenue",
-             JsonValue(sumNumber(parts, "energy_revenue")));
-    resp.set("shards",
-             JsonValue(static_cast<std::uint64_t>(parts.size())));
-    JsonValue arr = JsonValue::array();
-    for (const JsonValue &p : parts)
-        arr.push(p);
-    resp.set("per_shard", std::move(arr));
-    return resp;
-}
-
-/** shards: {"shards":N,"placement":...,"migrations":...,
- *  "rebalances":...,"shard_info":[parts]}. */
+/** shards: {"shards":N,"placement":...,"routed":[arrivals per
+ *  shard],"migrations":...,"rebalances":...,"shard_info":[parts]}. */
 JsonValue
 mergeShardsParts(std::uint64_t id,
                  const std::vector<JsonValue> &parts,
@@ -147,25 +121,6 @@ mergeShardsParts(std::uint64_t id,
     resp.set("shards",
              JsonValue(static_cast<std::uint64_t>(parts.size())));
     resp.set("placement", JsonValue(placement));
-    resp.set("migrations", JsonValue(stats.migrations));
-    resp.set("rebalances", JsonValue(stats.rebalances));
-    JsonValue arr = JsonValue::array();
-    for (const JsonValue &p : parts)
-        arr.push(p);
-    resp.set("shard_info", std::move(arr));
-    return resp;
-}
-
-/** region_snapshot: {"shards":N,"routed":[arrivals per shard],
- *  "migrations":...,"rebalances":...,"per_shard":[parts]}. */
-JsonValue
-mergeRegionSnapshotParts(std::uint64_t id,
-                         const std::vector<JsonValue> &parts,
-                         const RegionStats &stats)
-{
-    JsonValue resp = mergedOk(id, parts);
-    resp.set("shards",
-             JsonValue(static_cast<std::uint64_t>(parts.size())));
     JsonValue routed = JsonValue::array();
     for (const JsonValue &p : parts)
         routed.push(JsonValue(p.getUint("arrivals").value_or(0)));
@@ -175,7 +130,7 @@ mergeRegionSnapshotParts(std::uint64_t id,
     JsonValue arr = JsonValue::array();
     for (const JsonValue &p : parts)
         arr.push(p);
-    resp.set("per_shard", std::move(arr));
+    resp.set("shard_info", std::move(arr));
     return resp;
 }
 
@@ -289,8 +244,6 @@ RegionEngine::route(const Request &req, bool queued_ahead)
       case Op::Snapshot:
       case Op::Drain:
       case Op::Shards:
-      case Op::RegionSnapshot:
-      case Op::RegionEnergy:
         return r; // Route::Kind::All
     }
     return r;
@@ -307,17 +260,11 @@ RegionEngine::merge(Op op, std::uint64_t id,
         return mergeSnapshotParts(id, parts);
       case Op::Drain:
         return mergeDrainParts(id, parts);
-      case Op::RegionEnergy:
-        return mergeEnergyParts(id, parts);
       case Op::Shards: {
         std::lock_guard<std::mutex> lock(mutex_);
         return mergeShardsParts(
             id, parts, cloud::placementPolicyName(router_.policy()),
             stats_);
-      }
-      case Op::RegionSnapshot: {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return mergeRegionSnapshotParts(id, parts, stats_);
       }
       default:
         panic("op %s does not fan out", opName(op));

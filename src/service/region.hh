@@ -11,7 +11,8 @@
  *    ping or query read from the shard's published view), one shard
  *    (a migrate's auto target resolved), or every shard;
  *  - merge(): how the per-shard parts of a fanned-out op become the
- *    region response;
+ *    region response (the two region reads share one part: snapshot
+ *    sums it into region totals, shards lists it per shard);
  *  - ServiceCore::migrateOut / migrateIn: how a tenant crosses
  *    shards (a Handoff carrying its snapshot by value);
  *  - afterBatch(): when a shard sheds a tenant to rebalance.

@@ -222,14 +222,13 @@ ServiceServer::stop()
         return;
 
     // Phase 1: stop admissions. The IO thread closes the listeners,
-    // stops reading, and signals quiescence; after that no external
-    // task can enter a queue.
+    // stops reading, and signals quiescence. It is the only thread
+    // that enqueues requests, so from here on only the sim threads'
+    // migration hand-offs can enter a queue.
     stopRequested_.store(true);
     wake();
     while (!ioQuiesced_.load(std::memory_order_acquire))
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    for (Shard &sh : shards_)
-        sh.queue->closeExternal();
 
     // Phase 2: let in-flight work — migration chains included —
     // drain to zero, then close the queues for real.

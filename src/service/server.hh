@@ -38,16 +38,16 @@
  *    flight (Connection::inFlight > 0) sends its reads through the
  *    queue instead, so its requests apply in order and it reads its
  *    own writes. `queue_full` and `deadline_exceeded` never apply to
- *    a read answered from a view. The snapshot-family fan-outs still
- *    queue.
+ *    a read answered from a view. The two region reads, snapshot
+ *    and shards, still fan out through the queues.
  *
  * Determinism: each shard's state is a pure function of its applied
  * request sequence. One shard and one client reproduce the PR-5
  * daemon bit-for-bit; more shards only partition the sequence.
  *
  * Shutdown (stop(), the SIGTERM path) is a fleet-wide audited
- * drain: stop accepting and reading, wait for the IO thread to
- * quiesce, half-close the queues (closeExternal), wait for in-flight
+ * drain: stop accepting and reading, wait for the IO thread (the
+ * only thread that enqueues requests) to quiesce, wait for in-flight
  * tasks — migration chains included — to drain, close the queues,
  * let every sim thread drain its provider (final bills +
  * conservation audit), aggregate the per-shard reports into one

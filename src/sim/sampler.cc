@@ -12,6 +12,22 @@ namespace cash
 namespace
 {
 
+/** Warmup cap: measurement starts here even if IPC has not settled
+ *  (bounds detail cost on noisy streams). */
+constexpr std::uint32_t kMaxWarmupQuanta = 12;
+/** Warmup ends once consecutive full-quantum busy IPCs agree within
+ *  this relative tolerance. */
+constexpr double kWarmupSettle = 0.03;
+/** Detailed quanta measured into the fast-forward model. */
+constexpr std::uint32_t kMeasureQuanta = 2;
+/** Quanta extrapolated per measurement slice. */
+constexpr std::uint32_t kFfQuanta = 56;
+/** Kalman innovation above this aborts a measurement slice
+ *  (suspected phase change mid-measurement). */
+constexpr double kPhaseThreshold = 0.25;
+/** Bound on the schedule log; later quanta are not recorded. */
+constexpr std::size_t kMaxScheduleRecords = 65'536;
+
 void
 accumulate(SliceCounters &into, const SliceCounters &delta)
 {
@@ -36,26 +52,14 @@ SliceController::SliceController(const SamplerParams &params)
 {
     if (params_.sliceQuantum == 0)
         fatal("sampler sliceQuantum must be positive");
-    if (params_.warmupQuanta == 0 || params_.measureQuanta == 0
-        || params_.ffQuanta == 0)
-        fatal("sampler schedule needs warmup, measure and "
-              "fast-forward quanta all >= 1");
-    if (params_.maxWarmupQuanta < params_.warmupQuanta)
-        fatal("sampler maxWarmupQuanta below warmupQuanta");
-    if (params_.warmupSettle <= 0.0)
-        fatal("sampler warmupSettle must be positive");
-    if (params_.phaseThreshold <= 0.0)
-        fatal("sampler phaseThreshold must be positive");
 }
 
 void
 SliceController::record(SliceMode mode, Cycle start, Cycle cycles,
                         InstCount insts, bool abort)
 {
-    if (schedule_.size() >= params_.maxScheduleRecords) {
-        ++droppedRecords_;
+    if (schedule_.size() >= kMaxScheduleRecords)
         return;
-    }
     schedule_.push_back(SliceRecord{mode, start, cycles, insts, abort});
 }
 
@@ -109,7 +113,7 @@ SliceController::onDetailedQuantum(Cycle start, InstCount insts,
     if (mode_ == SliceMode::Measure && busy > 0 && insts > 0) {
         if (kalmanSeeded_) {
             kalman_.update(ipc, 1.0);
-            suspicious = kalman_.innovation() > params_.phaseThreshold;
+            suspicious = kalman_.innovation() > kPhaseThreshold;
         } else {
             kalman_.reset(ipc);
             kalmanSeeded_ = true;
@@ -119,15 +123,15 @@ SliceController::onDetailedQuantum(Cycle start, InstCount insts,
     switch (mode_) {
       case SliceMode::Warmup: {
         // Adaptive warmup: measurement may start once consecutive
-        // full quanta agree within warmupSettle (the microarch
-        // transient has decayed), subject to the min/max bounds.
+        // full quanta agree within kWarmupSettle (the microarch
+        // transient has decayed), so after 2 quanta at the least,
+        // and at the latest after kMaxWarmupQuanta.
         bool settled = prevWarmIpc_ > 0.0 && ipc > 0.0
             && std::fabs(ipc - prevWarmIpc_) / prevWarmIpc_
-                <= params_.warmupSettle;
+                <= kWarmupSettle;
         prevWarmIpc_ = ipc;
         ++quantaInMode_;
-        if ((settled && quantaInMode_ >= params_.warmupQuanta)
-            || quantaInMode_ >= params_.maxWarmupQuanta) {
+        if (settled || quantaInMode_ >= kMaxWarmupQuanta) {
             mode_ = SliceMode::Measure;
             quantaInMode_ = 0;
             measInsts_ = 0;
@@ -147,7 +151,7 @@ SliceController::onDetailedQuantum(Cycle start, InstCount insts,
         measInsts_ += insts;
         measBusy_ += busy;
         accumulate(measCtrs_, delta);
-        if (++quantaInMode_ >= params_.measureQuanta) {
+        if (++quantaInMode_ >= kMeasureQuanta) {
             if (measInsts_ == 0 || measBusy_ == 0) {
                 // Nothing committed (source idle): there is no
                 // rate to extrapolate, stay detailed.
@@ -209,7 +213,7 @@ SliceController::onFastForward(Cycle start, InstCount insts,
         restart(true);
         return;
     }
-    if (++quantaInMode_ >= params_.ffQuanta) {
+    if (++quantaInMode_ >= kFfQuanta) {
         // Budget spent: re-warm and re-measure. The restart is
         // warm — the stream is still mid-phase (a boundary would
         // have aborted above), so the Kalman filter keeps its

@@ -63,46 +63,29 @@ enum class SimMode : std::uint8_t
 };
 
 /**
- * Slice-sampling schedule and sensitivity knobs.
+ * The slice-sampling quantum, the one sampler knob a caller sets.
  *
- * Warmup is ADAPTIVE: after any restart (cold start, phase
- * boundary, reconfiguration, completed fast-forward burst) the
- * controller stays in detailed warmup until the per-quantum busy
- * IPC of consecutive full quanta settles within `warmupSettle`,
- * bounded by [warmupQuanta, maxWarmupQuanta]. Fixed-length warmup
- * is the classic SMARTS weakness this avoids: cache-refill
- * transients here range from ~2 quanta (re-warming after a
- * fast-forward gap inside one phase) to ~10 quanta (cold caches at
- * a working-set switch), and measuring mid-transient folds the
- * refill penalty into the model, biasing every extrapolated
- * quantum of the phase. Steady state is ~2 warmup + 2 measured /
- * 56 extrapolated quanta (~7% detail -> ~14x ideal speedup). These
- * defaults are what the error gate certifies; changing them moves
- * the speed/error trade-off.
+ * The rest of the schedule is fixed in sampler.cc. Warmup is
+ * ADAPTIVE: after any restart (cold start, phase boundary,
+ * reconfiguration, completed fast-forward burst) the controller
+ * stays in detailed warmup until the busy IPC of a full quantum
+ * agrees within 3% with the previous one (so at least 2 quanta),
+ * capped at 12. Fixed-length warmup is the classic SMARTS weakness
+ * this avoids: cache-refill transients here range from ~2 quanta
+ * (re-warming after a fast-forward gap inside one phase) to ~10
+ * quanta (cold caches at a working-set switch), and measuring
+ * mid-transient folds the refill penalty into the model, biasing
+ * every extrapolated quantum of the phase. Then 2 quanta are
+ * measured and 56 extrapolated; a Kalman innovation above 0.25
+ * during measurement aborts the slice. Steady state is ~2 warmup +
+ * 2 measured / 56 extrapolated quanta (~7% detail -> ~14x ideal
+ * speedup). The error gate certifies these constants; changing
+ * them moves the speed/error trade-off.
  */
 struct SamplerParams
 {
     /** Sampling quantum in cycles. */
     Cycle sliceQuantum = 20'000;
-    /** Minimum detailed warmup quanta after a restart (their
-     *  measurements are discarded). */
-    std::uint32_t warmupQuanta = 2;
-    /** Warmup cap: measurement starts here even if IPC has not
-     *  settled (bounds detail cost on noisy streams). */
-    std::uint32_t maxWarmupQuanta = 12;
-    /** Warmup ends once consecutive full-quantum busy IPCs agree
-     *  within this relative tolerance. */
-    double warmupSettle = 0.03;
-    /** Detailed quanta measured into the fast-forward model. */
-    std::uint32_t measureQuanta = 2;
-    /** Quanta extrapolated per measurement slice. */
-    std::uint32_t ffQuanta = 56;
-    /** Kalman innovation above this aborts a measurement slice
-     *  (suspected phase change mid-measurement). */
-    double phaseThreshold = 0.25;
-    /** Bounded schedule log (records beyond this are counted,
-     *  not stored). */
-    std::size_t maxScheduleRecords = 65'536;
 };
 
 /** Classification of one sampling quantum. */
@@ -192,12 +175,11 @@ class SliceController
     const FfModel &model() const { return model_; }
     const SamplerParams &params() const { return params_; }
     const SamplerStats &stats() const { return stats_; }
+    /** The first quanta's records (the log is bounded). */
     const std::vector<SliceRecord> &schedule() const
     {
         return schedule_;
     }
-    /** Quanta not recorded because the log bound was hit. */
-    std::uint64_t droppedRecords() const { return droppedRecords_; }
 
     /**
      * Account one detailed (warmup or measurement) quantum.
@@ -254,7 +236,6 @@ class SliceController
 
     SamplerStats stats_{};
     std::vector<SliceRecord> schedule_;
-    std::uint64_t droppedRecords_ = 0;
 };
 
 } // namespace cash

@@ -115,10 +115,6 @@ class SSim
                      const SamplerParams &params = SamplerParams());
 
     SimMode simMode() const { return simMode_; }
-    const SamplerParams &samplerParams() const
-    {
-        return samplerParams_;
-    }
 
     /**
      * Allocate and construct a virtual core.

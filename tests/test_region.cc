@@ -203,10 +203,16 @@ TEST(Grammar, RegionOpsParseAndRejectGarbage)
 
     EXPECT_EQ(parseDoc("{\"id\":1,\"op\":\"shards\"}")->op,
               Op::Shards);
-    EXPECT_EQ(parseDoc("{\"id\":1,\"op\":\"region_snapshot\"}")->op,
-              Op::RegionSnapshot);
 
     std::string code;
+    // The region reads are snapshot and shards.
+    for (const char *gone : {"region_snapshot", "region_energy"}) {
+        EXPECT_FALSE(parseDoc(strfmt("{\"id\":1,\"op\":\"%s\"}",
+                                     gone),
+                              &code)
+                         .has_value());
+        EXPECT_EQ(code, errors::UnknownOp) << gone;
+    }
     // migrate without a tenant is malformed, not unknown-tenant.
     EXPECT_FALSE(
         parseDoc("{\"id\":1,\"op\":\"migrate\"}", &code)
@@ -396,13 +402,7 @@ TEST(RegionCoreTest, SnapshotAndShardsMergeAcrossTheRegion)
     ASSERT_EQ(info->items().size(), 2u);
     EXPECT_EQ(info->items()[0].getUint("shard"), 0u);
     EXPECT_EQ(info->items()[1].getUint("shard"), 1u);
-
-    JsonValue rs = applyOp(region, Op::RegionSnapshot);
-    EXPECT_EQ(rs.getBool("ok"), true);
-    const JsonValue *per = rs.find("per_shard");
-    ASSERT_NE(per, nullptr);
-    ASSERT_EQ(per->items().size(), 2u);
-    const JsonValue *routed = rs.find("routed");
+    const JsonValue *routed = sh.find("routed");
     ASSERT_NE(routed, nullptr);
     double routed_total = 0;
     for (const JsonValue &n : routed->items())
@@ -424,9 +424,9 @@ TEST(RegionCoreTest, RoutedCountsOnlyArrivalsAShardApplied)
     late.residence = 200;
     EXPECT_EQ(region.apply(late).getString("error"), errors::Draining);
 
-    JsonValue rs = applyOp(region, Op::RegionSnapshot);
+    JsonValue rs = applyOp(region, Op::Shards);
     const JsonValue *routed = rs.find("routed");
-    const JsonValue *per = rs.find("per_shard");
+    const JsonValue *per = rs.find("shard_info");
     ASSERT_NE(routed, nullptr);
     ASSERT_NE(per, nullptr);
     ASSERT_EQ(routed->items().size(), 2u);
@@ -435,6 +435,54 @@ TEST(RegionCoreTest, RoutedCountsOnlyArrivalsAShardApplied)
         EXPECT_EQ(routed->items()[s].number(),
                   per->items()[s].getNumber("arrivals").value_or(-1))
             << "shard " << s << ": " << rs.dump();
+}
+
+TEST(RegionCoreTest, ShardsPartsAddUpToTheSnapshot)
+{
+    // shards lists the very parts snapshot sums, so every summed
+    // snapshot field is the exact sum of the shard_info parts.
+    RegionCore region(tinyRegionParams(), 2,
+                      /*audit_each_quantum=*/false,
+                      cloud::PlacementPolicy::Spread);
+    std::uint32_t t = arriveOn(region);
+    arriveOn(region, 1);
+    arriveOn(region, 2);
+    applyOp(region, Op::Step, 0, 2);
+    applyOp(region, Op::Depart, t);
+    applyOp(region, Op::Step, 0, 1);
+
+    JsonValue snap = applyOp(region, Op::Snapshot);
+    JsonValue sh = applyOp(region, Op::Shards);
+    ASSERT_EQ(snap.getBool("ok"), true);
+    ASSERT_EQ(sh.getBool("ok"), true);
+    const JsonValue *info = sh.find("shard_info");
+    ASSERT_NE(info, nullptr);
+    ASSERT_EQ(info->items().size(), 2u);
+    // Spread put arrivals on both shards.
+    for (const JsonValue &p : info->items())
+        EXPECT_GT(p.getUint("arrivals").value_or(0), 0u) << sh.dump();
+
+    // Summed in shard order, as the merge does, so doubles match
+    // exactly too.
+    for (const char *key :
+         {"active", "queued", "arrivals", "admitted", "rejected",
+          "abandoned", "departed", "free_slices", "free_banks",
+          "sla_samples", "sla_violations", "migrated_in",
+          "migrated_out", "revenue", "joules", "energy_revenue"}) {
+        double sum = 0.0;
+        for (const JsonValue &p : info->items()) {
+            ASSERT_TRUE(p.getNumber(key).has_value()) << key;
+            sum += *p.getNumber(key);
+        }
+        EXPECT_EQ(sum, snap.getNumber(key)) << key;
+    }
+    EXPECT_EQ(snap.getUint("departed"), 1u);
+    EXPECT_GT(snap.getNumber("joules").value_or(0.0), 0.0);
+    for (const JsonValue &p : info->items())
+        for (const char *key : {"fragmentation", "departed_joules",
+                                "exported_joules", "overhead_joules"})
+            EXPECT_TRUE(p.getNumber(key).has_value())
+                << key << " missing: " << p.dump();
 }
 
 TEST(RegionCoreTest, DrainAggregatesAuditedBills)
@@ -638,12 +686,17 @@ TEST(RegionServer, FourShardsOverLoopbackWithWireMigration)
         EXPECT_EQ(bad.getBool("ok"), false);
         EXPECT_EQ(bad.getString("error"), errors::UnknownTenant);
 
-        // Region snapshot covers every shard.
-        JsonValue rs = client.regionSnapshot();
+        // The shards op counts the migration and every arrival.
+        JsonValue rs = client.shards();
         ASSERT_EQ(rs.getBool("ok"), true);
-        ASSERT_NE(rs.find("per_shard"), nullptr);
-        EXPECT_EQ(rs.find("per_shard")->items().size(), 4u);
+        ASSERT_NE(rs.find("shard_info"), nullptr);
+        EXPECT_EQ(rs.find("shard_info")->items().size(), 4u);
         EXPECT_EQ(rs.getUint("migrations"), 1u);
+        ASSERT_NE(rs.find("routed"), nullptr);
+        double routed_total = 0;
+        for (const JsonValue &n : rs.find("routed")->items())
+            routed_total += n.number();
+        EXPECT_EQ(routed_total, 6.0);
     }
 
     server.stop();
@@ -732,9 +785,9 @@ expectStepsAllOrNothing(ServerConfig sc, const char *error)
         }
         EXPECT_EQ(ok + refused, kSteps);
 
-        JsonValue rs = client.regionSnapshot();
+        JsonValue rs = client.shards();
         ASSERT_EQ(rs.getBool("ok"), true);
-        const JsonValue *per_shard = rs.find("per_shard");
+        const JsonValue *per_shard = rs.find("shard_info");
         ASSERT_NE(per_shard, nullptr);
         ASSERT_EQ(per_shard->items().size(), 2u);
         auto r0 = per_shard->items()[0].getUint("round");
@@ -835,8 +888,6 @@ recordTwinLog(RegionCore &region)
     send(Op::Step, 0, 1);
     send(Op::Snapshot);
     send(Op::Shards);
-    send(Op::RegionSnapshot);
-    send(Op::RegionEnergy);
     send(Op::Drain);
     send(Op::Arrive, 0, 0);
     send(Op::Step, 0, 1);

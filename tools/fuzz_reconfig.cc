@@ -95,8 +95,7 @@ enum class OpKind : std::uint8_t
     RgnQuery,
     RgnStep,
     RgnMigrate,
-    RgnSnapshot, ///< region_snapshot or shards, by op.a parity
-    RgnEnergy,   ///< region_energy: summed per-shard joule ledgers
+    RgnSnapshot, ///< snapshot or shards, by op.a parity
     RgnDrain,
 };
 
@@ -176,9 +175,7 @@ struct Op
           case OpKind::RgnMigrate:
             return strfmt("rgn-migrate  slot=%u", slot);
           case OpKind::RgnSnapshot:
-            return a % 2 ? "rgn-region-snapshot" : "rgn-shards";
-          case OpKind::RgnEnergy:
-            return "rgn-region-energy";
+            return a % 2 ? "rgn-snapshot" : "rgn-shards";
           case OpKind::RgnDrain:
             return "rgn-drain";
         }
@@ -335,10 +332,8 @@ genRegionOps(std::uint64_t seed, std::uint32_t count)
             op.kind = OpKind::RgnStep;
         else if (pick < 18)
             op.kind = OpKind::RgnMigrate;
-        else if (pick < 20)
-            op.kind = OpKind::RgnSnapshot;
         else
-            op.kind = OpKind::RgnEnergy;
+            op.kind = OpKind::RgnSnapshot;
         // At most one drain per sequence, near the end (arrivals
         // after a drain are correctly refused — see genServiceOps).
         if (pick == 14 && i + 4 > count)
@@ -773,11 +768,11 @@ replayService(const std::vector<Op> &ops, std::uint64_t seed)
  * Region-layer replay: a two-shard RegionCore on tight FineGrain
  * chips, driven through the same Request objects the wire would
  * deliver — placement-routed arrivals, region-id departs/queries,
- * cross-shard migrations (migrate-out → hand-off → migrate-in), region
- * snapshots, and the aggregated drain. auditProvider runs on EVERY
- * shard after every op, so a migration that double-bills, leaks a
- * holding, or breaks lifecycle algebra on either side fails the op
- * that caused it.
+ * cross-shard migrations (migrate-out → hand-off → migrate-in), the
+ * snapshot and shards reads, and the aggregated drain. auditProvider
+ * runs on EVERY shard after every op, so a migration that
+ * double-bills, leaks a holding, or breaks lifecycle algebra on
+ * either side fails the op that caused it.
  */
 std::optional<Failure>
 replayRegion(const std::vector<Op> &ops, std::uint64_t seed)
@@ -877,16 +872,13 @@ replayRegion(const std::vector<Op> &ops, std::uint64_t seed)
                 }
                 break;
               }
-              case OpKind::RgnSnapshot:
-                req.op = op.a % 2 ? service::Op::RegionSnapshot
+              case OpKind::RgnSnapshot: {
+                req.op = op.a % 2 ? service::Op::Snapshot
                                   : service::Op::Shards;
-                region.apply(req);
-                break;
-              case OpKind::RgnEnergy: {
-                req.op = service::Op::RegionEnergy;
                 service::JsonValue resp = region.apply(req);
                 if (!resp.getBool("ok").value_or(false))
-                    return Failure{i, "region_energy answered !ok"};
+                    return Failure{i, strfmt("%s answered !ok",
+                                             service::opName(req.op))};
                 break;
               }
               case OpKind::RgnDrain: {
