@@ -74,23 +74,22 @@ runPolicy(const AppModel &app, const AppProfile &profile,
       case PolicyKind::Oracle:
         policy = std::make_unique<OraclePolicy>(
             sim, *id, app.qosKind, profile.qosTarget, space, cost,
-            params.quantum, params.tolerance, profile, phased.get(),
+            params.quantum, profile, phased.get(),
             app.isRequestDriven() ? &app.request : nullptr);
         break;
       case PolicyKind::ConvexOpt:
         policy = std::make_unique<ConvexOptPolicy>(
             sim, *id, app.qosKind, profile.qosTarget, space, cost,
-            params.quantum, params.tolerance, profile);
+            params.quantum, profile);
         break;
       case PolicyKind::RaceToIdle:
         policy = std::make_unique<RaceToIdlePolicy>(
             sim, *id, app.qosKind, profile.qosTarget, space, cost,
-            params.quantum, params.tolerance, profile);
+            params.quantum, profile);
         break;
       case PolicyKind::Cash: {
         RuntimeParams rp = params.runtime;
         rp.quantum = params.quantum;
-        rp.violationTolerance = params.tolerance;
         if (app.isRequestDriven()) {
             // Latency feedback is steep near saturation: damp the
             // loop harder so reconfiguration churn (whose stalls

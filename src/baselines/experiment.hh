@@ -48,8 +48,6 @@ struct ExperimentParams
     Cycle horizon = 75'000'000;
     /** Control quantum for all policies (cycles). */
     Cycle quantum = 500'000;
-    /** Violation tolerance (normalized QoS). */
-    double tolerance = 0.05;
     /** Workload stream seed. */
     std::uint64_t seed = 5;
     /** Phase-length multiplier applied to throughput apps (the

@@ -31,11 +31,10 @@ BaselinePolicy::BaselinePolicy(std::string name, SSim &sim,
                                double target,
                                const ConfigSpace &space,
                                const CostModel &cost, Cycle quantum,
-                               double tolerance, bool free_idle)
+                               bool free_idle)
     : Policy(std::move(name), quantum), sim_(sim), id_(id),
       space_(space), cost_(cost),
-      monitor_(sim, id, kind, target), tolerance_(tolerance),
-      freeIdle_(free_idle)
+      monitor_(sim, id, kind, target), freeIdle_(free_idle)
 {
     const VirtualCore &vc = sim.vcore(id);
     VCoreConfig current{vc.numSlices(), vc.numBanks()};
@@ -136,7 +135,7 @@ BaselinePolicy::runQuantum()
         if (quantaRun_ > warmupQuanta_) {
             stats_.qosSum += q;
             ++stats_.samples;
-            if (ewmaQ_ < 1.0 - tolerance_)
+            if (ewmaQ_ < 1.0 - kSlaTolerance)
                 ++stats_.violations;
         }
     }
@@ -156,12 +155,11 @@ BaselinePolicy::runQuantum()
 OraclePolicy::OraclePolicy(SSim &sim, VCoreId id, QosKind kind,
                            double target, const ConfigSpace &space,
                            const CostModel &cost, Cycle quantum,
-                           double tolerance,
                            const AppProfile &profile,
                            const PhasedTraceSource *phase_source,
                            const RequestStreamParams *request_params)
     : BaselinePolicy("Optimal", sim, id, kind, target, space, cost,
-                     quantum, tolerance, /*free_idle=*/false),
+                     quantum, /*free_idle=*/false),
       profile_(profile), phaseSource_(phase_source),
       requestParams_(request_params)
 {
@@ -210,10 +208,10 @@ RaceToIdlePolicy::RaceToIdlePolicy(SSim &sim, VCoreId id,
                                    QosKind kind, double target,
                                    const ConfigSpace &space,
                                    const CostModel &cost,
-                                   Cycle quantum, double tolerance,
+                                   Cycle quantum,
                                    const AppProfile &profile)
     : BaselinePolicy("RaceToIdle", sim, id, kind, target, space,
-                     cost, quantum, tolerance,
+                     cost, quantum,
                      /*free_idle=*/kind == QosKind::Throughput),
       worstCaseCfg_(profile.cheapestMeetingAll(space, cost))
 {
@@ -234,10 +232,10 @@ ConvexOptPolicy::ConvexOptPolicy(SSim &sim, VCoreId id, QosKind kind,
                                  double target,
                                  const ConfigSpace &space,
                                  const CostModel &cost,
-                                 Cycle quantum, double tolerance,
+                                 Cycle quantum,
                                  const AppProfile &profile)
     : BaselinePolicy("ConvexOpt", sim, id, kind, target, space,
-                     cost, quantum, tolerance, /*free_idle=*/false),
+                     cost, quantum, /*free_idle=*/false),
       profile_(profile)
 {
     // Upper convex hull of (cost rate, normalized average perf):

@@ -126,7 +126,7 @@ class BaselinePolicy : public Policy
     BaselinePolicy(std::string name, SSim &sim, VCoreId id,
                    QosKind kind, double target,
                    const ConfigSpace &space, const CostModel &cost,
-                   Cycle quantum, double tolerance, bool free_idle);
+                   Cycle quantum, bool free_idle);
 
     void runQuantum() override;
     Cycle now() const override;
@@ -143,7 +143,6 @@ class BaselinePolicy : public Policy
     const ConfigSpace &space_;
     const CostModel &cost_;
     VCoreMonitor monitor_;
-    double tolerance_;
     bool freeIdle_;
     std::size_t currentCfg_;
     QosReading lastReading_;
@@ -174,8 +173,7 @@ class OraclePolicy : public BaselinePolicy
      */
     OraclePolicy(SSim &sim, VCoreId id, QosKind kind, double target,
                  const ConfigSpace &space, const CostModel &cost,
-                 Cycle quantum, double tolerance,
-                 const AppProfile &profile,
+                 Cycle quantum, const AppProfile &profile,
                  const PhasedTraceSource *phase_source,
                  const RequestStreamParams *request_params);
 
@@ -200,7 +198,7 @@ class RaceToIdlePolicy : public BaselinePolicy
     RaceToIdlePolicy(SSim &sim, VCoreId id, QosKind kind,
                      double target, const ConfigSpace &space,
                      const CostModel &cost, Cycle quantum,
-                     double tolerance, const AppProfile &profile);
+                     const AppProfile &profile);
 
   protected:
     QuantumSchedule decide(const QosReading &last) override;
@@ -219,7 +217,7 @@ class ConvexOptPolicy : public BaselinePolicy
     ConvexOptPolicy(SSim &sim, VCoreId id, QosKind kind,
                     double target, const ConfigSpace &space,
                     const CostModel &cost, Cycle quantum,
-                    double tolerance, const AppProfile &profile);
+                    const AppProfile &profile);
 
     /** Configurations on the model's convex hull (for tests). */
     const std::vector<std::size_t> &hull() const { return hull_; }

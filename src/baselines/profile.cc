@@ -12,6 +12,18 @@
 namespace cash
 {
 
+namespace
+{
+
+/** Feasibility margin applied to derived throughput targets. */
+constexpr double kTargetMargin = 0.92;
+/** Headroom multiplier on the smallest worst-case latency (the
+ *  paper's 110 Kcycles target is comfortably feasible at peak load
+ *  by construction). */
+constexpr double kLatencyHeadroom = 1.6;
+
+} // namespace
+
 double
 measurePhaseIpc(const PhaseParams &phase_params,
                 const VCoreConfig &config, const FabricParams &fabric,
@@ -229,7 +241,7 @@ characterize(harness::ExperimentEngine &engine, const AppModel &app,
         double best_worst = 0.0;
         for (std::size_t k = 0; k < nk; ++k)
             best_worst = std::max(best_worst, prof.worstCasePerf(k));
-        prof.qosTarget = best_worst * params.targetMargin;
+        prof.qosTarget = best_worst * kTargetMargin;
     } else {
         const std::size_t nb = params.rateBins;
         prof.binRates.resize(nb);
@@ -272,7 +284,7 @@ characterize(harness::ExperimentEngine &engine, const AppModel &app,
                 worst = std::max(worst, prof.binLatency[b][k]);
             best_worst = std::min(best_worst, worst);
         }
-        prof.qosTarget = best_worst * params.latencyHeadroom;
+        prof.qosTarget = best_worst * kLatencyHeadroom;
     }
     return prof;
 }

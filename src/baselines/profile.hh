@@ -57,12 +57,6 @@ struct ProfileParams
     std::uint32_t rateBins = 5;
     /** Stream seed. */
     std::uint64_t seed = 999;
-    /** Feasibility margin applied to derived throughput targets. */
-    double targetMargin = 0.92;
-    /** Headroom multiplier on the smallest worst-case latency (the
-     *  paper's 110 Kcycles target is comfortably feasible at peak
-     *  load by construction). */
-    double latencyHeadroom = 1.6;
 };
 
 /**

@@ -234,11 +234,9 @@ auditProvider(const cloud::CloudProvider &provider)
                "queue holds %zu ids but %llu tenants are Queued",
                provider.queue().size(),
                static_cast<unsigned long long>(queued));
-    CASH_AUDIT(provider.queue().size()
-                   <= provider.params().admission.queueLimit,
+    CASH_AUDIT(provider.queue().size() <= cloud::kAdmissionQueueLimit,
                "queue depth %zu exceeds the admission bound %u",
-               provider.queue().size(),
-               provider.params().admission.queueLimit);
+               provider.queue().size(), cloud::kAdmissionQueueLimit);
 
     // --- Billing: an active tenant's bill (plus compaction stall
     // the provider absorbed on its behalf) must equal the priced
@@ -248,7 +246,7 @@ auditProvider(const cloud::CloudProvider &provider)
     // shards' integral (migratedHoldings, stall included) on the
     // holdings side and its prior bill inside bill(), so the same
     // identity holds across any number of hops.
-    const CostModel &cm = provider.params().pricing;
+    const CostModel &cm = provider.pricing();
     for (const auto &tp : provider.tenants()) {
         const cloud::Tenant &t = *tp;
         if (t.state != cloud::TenantState::Active)

@@ -14,11 +14,6 @@ admissionVerdictName(AdmissionVerdict v)
     return "?";
 }
 
-AdmissionController::AdmissionController(const AdmissionParams &params)
-    : params_(params)
-{
-}
-
 bool
 AdmissionController::fits(const VCoreConfig &entry,
                           const FabricAllocator &alloc)
@@ -42,13 +37,13 @@ AdmissionController::impossible(const VCoreConfig &entry,
 AdmissionVerdict
 AdmissionController::judge(const VCoreConfig &entry,
                            const FabricAllocator &alloc,
-                           std::uint32_t queue_depth) const
+                           std::uint32_t queue_depth)
 {
     if (impossible(entry, alloc))
         return AdmissionVerdict::Reject;
     if (fits(entry, alloc))
         return AdmissionVerdict::Admit;
-    if (queue_depth >= params_.queueLimit)
+    if (queue_depth >= kAdmissionQueueLimit)
         return AdmissionVerdict::Reject;
     return AdmissionVerdict::Queue;
 }

@@ -43,14 +43,10 @@ enum class AdmissionVerdict : std::uint8_t
 /** Printable verdict name. */
 const char *admissionVerdictName(AdmissionVerdict v);
 
-/** Admission tunables. */
-struct AdmissionParams
-{
-    /** Arrivals the waiting queue holds before rejecting. */
-    std::uint32_t queueLimit = 4;
-    /** Rounds a queued arrival waits before giving up. */
-    std::uint32_t patienceRounds = 16;
-};
+/** Arrivals the waiting queue holds before rejecting. */
+constexpr std::uint32_t kAdmissionQueueLimit = 4;
+/** Rounds a queued arrival waits before giving up. */
+constexpr std::uint32_t kPatienceRounds = 16;
 
 /**
  * Stateless admission logic (the provider owns the queue itself;
@@ -59,8 +55,6 @@ struct AdmissionParams
 class AdmissionController
 {
   public:
-    explicit AdmissionController(const AdmissionParams &params);
-
     /**
      * Judge an entry request.
      *
@@ -68,9 +62,9 @@ class AdmissionController
      * @param alloc current fabric occupancy
      * @param queue_depth arrivals already waiting
      */
-    AdmissionVerdict judge(const VCoreConfig &entry,
-                           const FabricAllocator &alloc,
-                           std::uint32_t queue_depth) const;
+    static AdmissionVerdict judge(const VCoreConfig &entry,
+                                  const FabricAllocator &alloc,
+                                  std::uint32_t queue_depth);
 
     /** True if the fabric can host `entry` right now. */
     static bool fits(const VCoreConfig &entry,
@@ -80,11 +74,6 @@ class AdmissionController
      *  minus the reserved runtime Slice). */
     static bool impossible(const VCoreConfig &entry,
                            const FabricAllocator &alloc);
-
-    const AdmissionParams &params() const { return params_; }
-
-  private:
-    AdmissionParams params_;
 };
 
 } // namespace cash::cloud

@@ -20,12 +20,14 @@ pow2Floor(std::uint32_t v)
     return p;
 }
 
-} // namespace
+/** Live fragmentation (mean excess Slice span, hops) above which
+ *  an EXPAND triggers compaction first. */
+constexpr double kCompactFragThreshold = 1.5;
+/** Minimum rounds between compactions (migration stalls are real;
+ *  do not thrash). */
+constexpr std::uint32_t kCompactInterval = 8;
 
-FabricArbiter::FabricArbiter(const ArbiterParams &params)
-    : params_(params)
-{
-}
+} // namespace
 
 std::vector<TenantId>
 FabricArbiter::grantOrder(std::vector<GrantCandidate> candidates) const
@@ -68,9 +70,9 @@ FabricArbiter::decide(const VCoreConfig &held,
     // the tenant's own tiles plus the free pool, under the
     // provider's per-tenant cap.
     std::uint32_t avail_slices =
-        std::min(held.slices + alloc.freeSlices(), params_.maxSlices);
+        std::min(held.slices + alloc.freeSlices(), kMaxTenantSlices);
     std::uint32_t avail_banks =
-        std::min(held.banks + alloc.freeBanks(), params_.maxBanks);
+        std::min(held.banks + alloc.freeBanks(), kMaxTenantBanks);
 
     d.granted.slices = expand_slices
         ? std::min(requested.slices, avail_slices)
@@ -104,9 +106,9 @@ FabricArbiter::decide(const VCoreConfig &held,
     // the expansion will be granted either way, but on a
     // fragmented fabric it lands far from the tenant's tiles.
     if (d.kind != GrantKind::Denied
-        && alloc.fragmentation() > params_.fragThreshold
+        && alloc.fragmentation() > kCompactFragThreshold
         && (!everCompacted_
-            || round >= lastCompactRound_ + params_.compactInterval))
+            || round >= lastCompactRound_ + kCompactInterval))
         d.compactFirst = true;
 
     return d;

@@ -37,20 +37,10 @@
 namespace cash::cloud
 {
 
-/** Arbiter tunables. */
-struct ArbiterParams
-{
-    /** Live fragmentation (mean excess Slice span, hops) above
-     *  which an EXPAND triggers compaction first. */
-    double fragThreshold = 1.5;
-    /** Minimum rounds between compactions (migration stalls are
-     *  real; do not thrash). */
-    std::uint32_t compactInterval = 8;
-    /** Per-tenant configuration cap (the provider's largest
-     *  sellable instance), in Slices and 64 KB L2 banks. */
-    std::uint32_t maxSlices = 4;
-    std::uint32_t maxBanks = 16;
-};
+/** Per-tenant configuration cap (the provider's largest sellable
+ *  instance), in Slices and 64 KB L2 banks. */
+constexpr std::uint32_t kMaxTenantSlices = 4;
+constexpr std::uint32_t kMaxTenantBanks = 16;
 
 /** How one EXPAND/SHRINK demand was resolved. */
 enum class GrantKind : std::uint8_t
@@ -95,8 +85,6 @@ struct ArbiterStats
 class FabricArbiter
 {
   public:
-    explicit FabricArbiter(const ArbiterParams &params);
-
     /**
      * Order this round's tenants for stepping (and hence tile
      * claiming): largest deficit first, then highest paid rate,
@@ -125,10 +113,8 @@ class FabricArbiter
     void noteCompacted(std::uint64_t round);
 
     const ArbiterStats &stats() const { return stats_; }
-    const ArbiterParams &params() const { return params_; }
 
   private:
-    ArbiterParams params_;
     ArbiterStats stats_;
     std::uint64_t lastCompactRound_ = 0;
     bool everCompacted_ = false;

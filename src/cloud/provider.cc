@@ -11,6 +11,35 @@
 namespace cash::cloud
 {
 
+namespace
+{
+
+/** Phase-length multiplier applied to tenant apps. The models
+ *  define short phases; deployments stretch them to the
+ *  multi-quantum timescale the runtimes track (cf.
+ *  ExperimentParams::phaseScale). At 1.0 phases flip faster than
+ *  any controller can follow. */
+constexpr double kPhaseScale = 20.0;
+/** QoS target jitter: a tenant's target is its catalog target
+ *  scaled down by U(0, kTargetJitter). Downward only — the catalog
+ *  value is the class's maximum sellable target. */
+constexpr double kTargetJitter = 0.15;
+/** The big.LITTLE pair of CoarseGrain provisioning. */
+constexpr VCoreConfig kCoarseBig{4, 16};
+constexpr VCoreConfig kCoarseLittle{1, 2};
+/** Table IV's per-tile rates (CostModel's defaults). */
+const CostModel kPricing;
+
+/** Lifecycle events are timestamped at round granularity: one
+ *  provider round spans one quantum of simulated time. */
+Cycle
+roundTs(std::uint64_t round, Cycle quantum)
+{
+    return static_cast<Cycle>(round) * quantum;
+}
+
+} // namespace
+
 const char *
 provisioningName(Provisioning p)
 {
@@ -25,11 +54,11 @@ provisioningName(Provisioning p)
 CloudProvider::CloudProvider(const ProviderParams &params)
     : params_(params),
       sim_(params.fabric, params.sim),
-      space_(params.arbiter.maxSlices, params.arbiter.maxBanks),
-      admission_(params.admission),
-      arbiter_(params.arbiter),
+      space_(kMaxTenantSlices, kMaxTenantBanks),
       arrivalsRng_(params.seed)
 {
+    if (params_.quantum == 0)
+        fatal("provider quantum must be non-zero");
     if (params_.catalog.empty())
         params_.catalog = defaultCatalog();
     if (params_.simMode == SimMode::Sampled)
@@ -43,18 +72,11 @@ CloudProvider::CloudProvider(const ProviderParams &params)
 
 CloudProvider::~CloudProvider() = default;
 
-namespace
+const CostModel &
+CloudProvider::pricing() const
 {
-
-/** Lifecycle events are timestamped at round granularity: one
- *  provider round spans one quantum of simulated time. */
-Cycle
-roundTs(std::uint64_t round, Cycle quantum)
-{
-    return static_cast<Cycle>(round) * quantum;
+    return kPricing;
 }
-
-} // namespace
 
 VCoreConfig
 CloudProvider::entryConfig(const TenantClass &cls) const
@@ -65,10 +87,10 @@ CloudProvider::entryConfig(const TenantClass &cls) const
       case Provisioning::StaticPeak:
         return cls.peakCfg;
       case Provisioning::CoarseGrain:
-        if (cls.peakCfg.slices <= params_.coarseLittle.slices
-            && cls.peakCfg.banks <= params_.coarseLittle.banks)
-            return params_.coarseLittle;
-        return params_.coarseBig;
+        if (cls.peakCfg.slices <= kCoarseLittle.slices
+            && cls.peakCfg.banks <= kCoarseLittle.banks)
+            return kCoarseLittle;
+        return kCoarseBig;
     }
     return cls.minCfg;
 }
@@ -111,8 +133,7 @@ CloudProvider::bindExecution(Tenant &t, const VCoreConfig &cfg,
     t.admitRound = round_;
     t.srcSeed = src_seed;
 
-    AppModel app =
-        scalePhases(appByName(t.cls.app), params_.phaseScale);
+    AppModel app = scalePhases(appByName(t.cls.app), kPhaseScale);
     t.inner = makeSource(app, src_seed);
     if (fast_forward > 0) {
         // A migrant resumes its trace mid-stream: replay the
@@ -133,11 +154,10 @@ CloudProvider::bindExecution(Tenant &t, const VCoreConfig &cfg,
     if (params_.provisioning == Provisioning::FineGrain) {
         RuntimeParams rp = params_.runtime;
         rp.quantum = params_.quantum;
-        rp.violationTolerance = params_.tolerance;
         rp.warmupQuanta = params_.warmupRounds;
         t.runtime = std::make_unique<CashRuntime>(
-            sim_, t.vcore, t.cls.kind, t.target, space_,
-            params_.pricing, rp, params_.seed ^ (t.id + 1));
+            sim_, t.vcore, t.cls.kind, t.target, space_, kPricing,
+            rp, params_.seed ^ (t.id + 1));
     } else {
         t.monitor = std::make_unique<VCoreMonitor>(
             sim_, t.vcore, t.cls.kind, t.target);
@@ -284,7 +304,7 @@ CloudProvider::judgeArrival(Tenant &t)
         CASH_METRIC_INC("cloud.rejects");
         return;
     }
-    AdmissionVerdict v = admission_.judge(
+    AdmissionVerdict v = AdmissionController::judge(
         entryConfig(t.cls), sim_.allocator(),
         static_cast<std::uint32_t>(queue_.size()));
     switch (v) {
@@ -294,7 +314,7 @@ CloudProvider::judgeArrival(Tenant &t)
         break;
       case AdmissionVerdict::Queue:
         t.state = TenantState::Queued;
-        t.patienceRounds = params_.admission.patienceRounds;
+        t.patienceRounds = kPatienceRounds;
         queue_.push_back(t.id);
         CASH_TRACE_INSTANT(trace::Category::Cloud, "queue",
                            roundTs(round_, params_.quantum),
@@ -383,7 +403,7 @@ CloudProvider::processArrivals()
     // *maximum* sellable QoS (derived with only an 8% feasibility
     // margin over the per-tenant cap), so scaling it up would sell
     // a target no configuration can deliver.
-    t->target = cls.target * (1.0 - params_.targetJitter * jitter_u);
+    t->target = cls.target * (1.0 - kTargetJitter * jitter_u);
     t->residenceRounds = static_cast<std::uint32_t>(residence) + 1;
     t->arrivalRound = round_;
     ++stats_.arrivals;
@@ -404,7 +424,7 @@ CloudProvider::stepActive()
         VCoreConfig held{vc.numSlices(), vc.numBanks()};
         cands.push_back(
             {t.id, std::max(0.0, 1.0 - t.ewmaQ),
-             params_.pricing.ratePerHour(held)});
+             kPricing.ratePerHour(held)});
     }
 
     for (TenantId id : arbiter_.grantOrder(std::move(cands))) {
@@ -420,14 +440,14 @@ CloudProvider::stepActive()
             Cycle elapsed = vc.now() - start;
             QosReading r = t.monitor->sample();
             VCoreConfig held{vc.numSlices(), vc.numBanks()};
-            t.billed += params_.pricing.cost(held, elapsed);
+            t.billed += kPricing.cost(held, elapsed);
             if (r.valid)
                 t.ewmaQ = 0.3 * r.normalized + 0.7 * t.ewmaQ;
             // Mirror the runtime's SLA accounting: one sample per
             // round past warmup, judged on the smoothed QoS.
             if (t.activeRounds >= params_.warmupRounds) {
                 ++t.samples;
-                if (t.ewmaQ < 1.0 - params_.tolerance)
+                if (t.ewmaQ < 1.0 - kSlaTolerance)
                     ++t.violations;
             }
         }
@@ -641,7 +661,7 @@ CloudProvider::migrateOut(TenantId id)
     syncEnergy(t);
     const VirtualCore &vc = sim_.vcore(t.vcore);
     VCoreConfig held{vc.numSlices(), vc.numBanks()};
-    const CostModel &cm = params_.pricing;
+    const CostModel &cm = kPricing;
     // This shard's priced holdings integral for the tenant.
     double holdings = cm.sliceRate() * cm.hours(vc.sliceCycles())
         + cm.bankRate() * cm.hours(vc.bankCycles());
@@ -854,7 +874,7 @@ CloudProvider::gateCommand(VCoreId vcore, const CommandRequest &req)
                 const VirtualCore &mv = sim_.vcore(tp->vcore);
                 VCoreConfig cfg{mv.numSlices(), mv.numBanks()};
                 tp->unbilledCompactCost +=
-                    params_.pricing.cost(cfg, out.stalls[i]);
+                    kPricing.cost(cfg, out.stalls[i]);
                 break;
             }
         }

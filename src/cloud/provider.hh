@@ -68,36 +68,16 @@ struct ProviderParams
     FabricParams fabric;
     SimParams sim;
     Provisioning provisioning = Provisioning::FineGrain;
-    /** Control/billing round length in cycles. */
+    /** Control/billing round length in cycles (non-zero). */
     Cycle quantum = 500'000;
-    /** Phase-length multiplier applied to tenant apps. The models
-     *  define short phases; deployments stretch them to the
-     *  multi-quantum timescale the runtimes track (the same knob as
-     *  ExperimentParams::phaseScale). At 1.0 phases flip faster
-     *  than any controller can follow. */
-    double phaseScale = 20.0;
     /** Per-round Bernoulli probability of one tenant arrival. */
     double arrivalProb = 0.5;
     /** Mean tenant residence once active, in rounds (exponential,
      *  drawn at arrival). */
     double meanResidenceRounds = 24.0;
-    /** QoS target jitter: per-tenant target is the catalog target
-     *  scaled down by U(0, jitter). Downward only — the catalog
-     *  value is the class's maximum sellable target. */
-    double targetJitter = 0.15;
-    /** Normalized QoS below 1 - tolerance violates the SLA. */
-    double tolerance = 0.05;
     /** Rounds excluded from a fresh tenant's SLA accounting. */
     std::uint32_t warmupRounds = 5;
-    /** Coarse-grain pair (CoarseGrain provisioning only). */
-    VCoreConfig coarseBig{4, 16};
-    VCoreConfig coarseLittle{1, 2};
-    AdmissionParams admission;
-    ArbiterParams arbiter;
     RuntimeParams runtime;
-    /** Per-tile rates billed to tenants ($0.0098/Slice-hr +
-     *  $0.0032/bank-hr by default, Table IV). */
-    CostModel pricing;
     /** Arrival-stream seed (the only randomness in the layer). */
     std::uint64_t seed = 42;
     /** Catalog; empty means defaultCatalog(). */
@@ -360,6 +340,10 @@ class CloudProvider
     const FabricArbiter &arbiter() const { return arbiter_; }
     std::uint64_t round() const { return round_; }
 
+    /** The per-tile rates billed to tenants: Table IV's
+     *  $0.0098/Slice-hr + $0.0032/bank-hr. */
+    const CostModel &pricing() const;
+
     /** Every tenant ever created, indexed by TenantId. */
     const std::vector<std::unique_ptr<Tenant>> &tenants() const
     {
@@ -438,7 +422,6 @@ class CloudProvider
     /** Fine-grain runtime configuration space (grid space over the
      *  arbiter's per-tenant cap). */
     ConfigSpace space_;
-    AdmissionController admission_;
     FabricArbiter arbiter_;
     Rng arrivalsRng_;
     std::vector<std::unique_ptr<Tenant>> tenants_;

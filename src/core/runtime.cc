@@ -118,31 +118,12 @@ CashRuntime::dollarRate(std::uint32_t pstate,
 void
 CashRuntime::selectPState(double q_demand, QuantumStats &st)
 {
-    // Probe schedule: the per-P-state tables start from the
-    // frequency-scaled prior, under which a 2x downclock always
-    // looks infeasible — the economic selection below would never
-    // try it, never measure it, and never learn that memory-bound
-    // code keeps most of its IPC at low frequency. So the first
-    // quantum after start-up runs each non-nominal P-state once
-    // (quanta 1..kNumPStates-1, inside the warm-up window the SLA
-    // accounting already excludes); the probe measurement
-    // level-calibrates that P-state's whole table through the
-    // prior's shape, and from then on the selection runs on
-    // evidence. Latency tenants never probe: queueing punishes an
-    // under-clocked quantum superlinearly (the backlog outlives the
-    // probe), so they keep the pessimistic prior and in practice
-    // stay at nominal frequency.
-    if (probeQuantum()) {
-        switchPState(static_cast<std::uint32_t>(quantaRun_), st);
-        return;
-    }
-
     // Panic upclock: delivered QoS crossed the violation line while
     // downclocked. Do not wait for the $-comparison — return to
     // nominal this quantum and let the economics re-earn the
     // downclock once the tables have absorbed the miss.
     if (currentPState_ != 0
-        && lastQ_ < 1.0 - params_.violationTolerance) {
+        && lastQ_ < 1.0 - kSlaTolerance) {
         switchPState(0, st);
         return;
     }
@@ -316,14 +297,12 @@ CashRuntime::step()
     // non-nominal P-state, not plant feedback: folding it into the
     // estimator or the deadbeat integrator would flag a phantom
     // phase change and inflate the demand for quanta after the
-    // probes end. Freeze both across the probe window.
-    bool prev_probe = params_.dvfs
-        && monitor_.kind() == QosKind::Throughput
-        && quantaRun_ >= 2 && quantaRun_ <= kNumPStates;
+    // probes end. Freeze both in the quantum after each probe.
+    const bool probe = probeQuantum();
     double b_pre = kalman_.estimate();
     double b_hat =
-        prev_probe ? b_pre : kalman_.update(lastQ_, lastS_);
-    if (!prev_probe
+        lastWasProbe_ ? b_pre : kalman_.update(lastQ_, lastS_);
+    if (!lastWasProbe_
         && kalman_.innovation() > kPhaseThreshold) {
         st.phaseDetected = true;
         CASH_TRACE_INSTANT(trace::Category::Runtime, "phase_change",
@@ -345,7 +324,7 @@ CashRuntime::step()
     // when the gain estimate is right, even under a miscalibrated
     // table. b_hat is clamped away from degeneracy.
     double b_eff = std::clamp(b_hat, 0.25, 4.0);
-    double q_demand = ctrl_.step(prev_probe ? 1.0 : lastQ_, b_eff);
+    double q_demand = ctrl_.step(lastWasProbe_ ? 1.0 : lastQ_, b_eff);
     // QoS error as the controller sees it: shortfall against the
     // normalized target of 1 (positive = under-delivering).
     CASH_TRACE_COUNTER(trace::Category::Runtime, "qos_error",
@@ -357,7 +336,24 @@ CashRuntime::step()
     // loop then runs against the chosen operating point's table, so
     // the Kalman's plant gain, the LP, and the learning updates all
     // speak the same IPC-per-Hz.
-    if (params_.dvfs)
+    //
+    // Probe schedule: the per-P-state tables start from the
+    // frequency-scaled prior, under which a 2x downclock always
+    // looks infeasible — the economic selection would never try it,
+    // never measure it, and never learn that memory-bound code
+    // keeps most of its IPC at low frequency. So the first quanta
+    // after start-up run each non-nominal P-state once (quanta
+    // 1..kNumPStates-1, inside the warm-up window the SLA
+    // accounting already excludes); the probe measurement
+    // level-calibrates that P-state's whole table through the
+    // prior's shape, and from then on the selection runs on
+    // evidence. Latency tenants never probe: queueing punishes an
+    // under-clocked quantum superlinearly (the backlog outlives the
+    // probe), so they keep the pessimistic prior and in practice
+    // stay at nominal frequency.
+    if (probe)
+        switchPState(static_cast<std::uint32_t>(quantaRun_), st);
+    else if (params_.dvfs)
         selectPState(q_demand, st);
     st.pstate = currentPState_;
     SpeedupLearner &lrn = activeLearner();
@@ -373,7 +369,7 @@ CashRuntime::step()
     // for an experiment — and the measurement the probe is *for*
     // must land at the configuration the tenant actually runs.
     QuantumSchedule sched;
-    if (probeQuantum()) {
+    if (probe) {
         sched.over = currentCfg_;
         sched.under = currentCfg_;
         sched.tOver = params_.quantum;
@@ -444,7 +440,7 @@ CashRuntime::step()
     // the schedule would never visit from going stale.
     Cycle t_explore = 0;
     std::size_t cfg_explore = 0;
-    bool may_explore = !probeQuantum()
+    bool may_explore = !probe
         && (monitor_.kind() != QosKind::RequestLatency
             || lastQ_ > 1.2); // latency apps: explore when safe
     if (may_explore && params_.epsilon > 0.0
@@ -525,9 +521,6 @@ CashRuntime::step()
         // history too would drag the violation EWMA down during
         // warm-up and charge phantom violations to the first
         // counted quanta.
-        bool probe = params_.dvfs
-            && monitor_.kind() == QosKind::Throughput
-            && quantaRun_ >= 2 && quantaRun_ <= kNumPStates;
         // Latency readings are steep and noisy (queueing): smooth
         // the controller's input; throughput readings are already
         // near-deterministic per quantum.
@@ -543,7 +536,7 @@ CashRuntime::step()
         if (quantaRun_ > params_.warmupQuanta) {
             st.samples = 1;
             ++totalSamples_;
-            if (ewmaQ_ < 1.0 - params_.violationTolerance) {
+            if (ewmaQ_ < 1.0 - kSlaTolerance) {
                 st.violations = 1;
                 ++totalViolations_;
                 CASH_METRIC_INC("runtime.violations");
@@ -560,6 +553,7 @@ CashRuntime::step()
     // controller divides by.
     lastS_ = sched.expectedSpeedup > 1e-12 ? sched.expectedSpeedup
                                            : q_demand;
+    lastWasProbe_ = probe;
     st.finished = finished_;
     return st;
 }

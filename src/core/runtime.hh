@@ -40,6 +40,14 @@ namespace cash
 {
 
 /**
+ * The SLA tolerance every QoS judge shares — the runtime, the
+ * baseline policies and the provider: a sample whose short-window
+ * mean of normalized QoS falls below 1 - kSlaTolerance is a
+ * violation.
+ */
+constexpr double kSlaTolerance = 0.05;
+
+/**
  * Tunables of the CASH runtime (its fixed constants live in
  * runtime.cc).
  */
@@ -61,10 +69,6 @@ struct RuntimeParams
      *  selected one promises less than this much improvement — a
      *  reconfiguration (cold caches) costs more than a near-tie. */
     double stickiness = 0.05;
-    /** QoS violation tolerance (normalized; a sample whose
-     *  short-window mean falls below 1 - tolerance is a
-     *  violation). */
-    double violationTolerance = 0.05;
     /** Start-up quanta excluded from violation accounting. */
     std::uint32_t warmupQuanta = 5;
     /** Enable the joint (tiles x frequency) action space: one
@@ -92,7 +96,7 @@ struct QuantumStats
     double qos = 0.0;
     /** SLA samples contributed (0 during warm-up, else 1). */
     std::uint32_t samples = 0;
-    /** 1 when the smoothed QoS fell below 1 - tolerance. */
+    /** 1 when the smoothed QoS fell below 1 - kSlaTolerance. */
     std::uint32_t violations = 0;
     /** EXPAND/SHRINK commands executed this quantum. */
     std::uint32_t reconfigs = 0;
@@ -166,7 +170,7 @@ class CashRuntime
     double totalCost() const { return totalCost_; }
     /** SLA samples across all quanta (warm-up excluded). */
     std::uint64_t totalSamples() const { return totalSamples_; }
-    /** Samples whose smoothed QoS fell below 1 - tolerance. */
+    /** Samples whose smoothed QoS fell below 1 - kSlaTolerance. */
     std::uint64_t totalViolations() const { return totalViolations_; }
 
   private:
@@ -195,9 +199,8 @@ class CashRuntime
 
     /** Solve the tile LP per P-state, pick the cheapest feasible
      *  operating point, and SET_FREQ to it (billing the transition
-     *  stall). Runs once per quantum when params.dvfs is on; the
-     *  first quanta instead probe each non-nominal P-state once so
-     *  the per-P-state tables learn from evidence. */
+     *  stall). Runs once per quantum when params.dvfs is on, except
+     *  in the probe quanta (probeQuantum()). */
     void selectPState(double q_demand, QuantumStats &st);
 
     /** SET_FREQ to `want` if different from the held P-state,
@@ -246,6 +249,9 @@ class CashRuntime
     double lastSlotQ_ = 1.0;
     bool lastSlotValid_ = false;
     std::uint64_t quantaRun_ = 0;
+    /** The previous quantum was a probe: its reading must reach
+     *  neither the estimator nor the controller. */
+    bool lastWasProbe_ = false;
     double ewmaQ_ = 1.0;
     /** Incumbent schedule for stickiness. */
     std::size_t lastOver_ = 0;

@@ -32,7 +32,7 @@
  * IO thread answers reads this way unless the client still has a
  * request in flight; then the read queues behind it, applies here
  * through apply(), and so sees that request's effects. A read answered
- * by the IO thread never meets `queue_full` or `deadline_exceeded`.
+ * by the IO thread never meets `queue_full`.
  * The two region reads, snapshot and shards, still apply on the
  * shard's thread: each shard builds one snapshot part, which the
  * region engine merges into region totals (snapshot) or lists per

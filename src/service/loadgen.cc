@@ -21,6 +21,12 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/** Per-session failure warnings are capped here: at hundreds of
+ *  sessions a dead socket would otherwise print hundreds of
+ *  identical lines. The count past the cap is reported once, after
+ *  the run. */
+constexpr unsigned kMaxSessionWarnings = 8;
+
 /** One session's tallies, merged into the report at the end. */
 struct SessionStats
 {
@@ -204,11 +210,8 @@ runSession(const LoadConfig &cfg, unsigned session_index,
             consumeResponse(client.next(), st, inflight, owned,
                             migrating);
     } catch (const FatalError &e) {
-        // Cap the per-session noise: hundreds of sessions against a
-        // dead socket all fail with the same message. The overflow
-        // count is reported once after the run.
         unsigned nth = ++failures;
-        if (nth <= cfg.maxSessionWarnings)
+        if (nth <= kMaxSessionWarnings)
             warn("loadgen session %u failed: %s", session_index,
                  e.what());
         st.failed = true;
@@ -235,9 +238,9 @@ runLoad(const LoadConfig &config)
         });
     for (std::thread &t : threads)
         t.join();
-    if (failures.load() > config.maxSessionWarnings)
+    if (failures.load() > kMaxSessionWarnings)
         warn("loadgen: %u more session failures suppressed",
-             failures.load() - config.maxSessionWarnings);
+             failures.load() - kMaxSessionWarnings);
 
     LoadReport report;
     report.elapsedSec =

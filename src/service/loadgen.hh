@@ -70,11 +70,6 @@ struct LoadConfig
     std::uint32_t residenceMax = 32;
     /** Quanta per step request. */
     std::uint32_t stepQuanta = 1;
-    /** Per-session failure warnings are capped here: at hundreds of
-     *  sessions a dead socket would otherwise print hundreds of
-     *  identical lines. The count past the cap is reported once,
-     *  after the run. */
-    unsigned maxSessionWarnings = 8;
 };
 
 /** Aggregated outcome of one run (sums over all sessions). */

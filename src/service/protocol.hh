@@ -51,7 +51,8 @@
 namespace cash::service
 {
 
-/** Default cap on one frame's JSON payload, in bytes. */
+/** Default cap on one frame's JSON payload, in bytes (the daemon's
+ *  cap). */
 constexpr std::size_t kDefaultMaxFrame = 256 * 1024;
 
 /** Machine-readable error codes carried in the "error" field. */
@@ -61,7 +62,6 @@ constexpr const char *BadRequest = "bad_request";
 constexpr const char *UnknownOp = "unknown_op";
 constexpr const char *UnknownTenant = "unknown_tenant";
 constexpr const char *QueueFull = "queue_full";
-constexpr const char *DeadlineExceeded = "deadline_exceeded";
 constexpr const char *Draining = "draining";
 constexpr const char *Malformed = "malformed";
 constexpr const char *FrameTooLarge = "frame_too_large";
@@ -133,7 +133,7 @@ std::string encodeFrame(std::string_view payload);
 
 /**
  * Incremental frame decoder: feed() bytes as they arrive, next()
- * complete payloads in order. Oversized (> maxFrame) and empty
+ * complete payloads in order. Oversized (> max_frame) and empty
  * frames put the decoder into a sticky error state: next() then
  * returns nullopt with error() set, and further feed()s are ignored.
  */

@@ -75,16 +75,12 @@ queueFull(std::uint64_t id)
                          "request queue is full; retry");
 }
 
-/** The answer to a request that waited past its deadline, counted. */
-JsonValue
-deadlineExceeded(std::uint64_t id)
-{
-    CASH_METRIC_INC("service.deadline_exceeded");
-    return errorResponse(id, errors::DeadlineExceeded,
-                         "queued past the request deadline");
-}
+/** Simulation-thread batch bound per queue drain. */
+constexpr std::size_t kMaxBatch = 64;
 
-constexpr int kFlushGraceMs = 2000;
+/** How long a peer gets to take its last bytes: the final flush at
+ *  stop, and a poisoned connection's lingering close. */
+constexpr int kGraceMs = 2000;
 
 /** epoll tag layout: 0 = wake eventfd, 1..kConnTagBase-1 =
  *  listener index + 1, >= kConnTagBase = connection id +
@@ -308,7 +304,7 @@ ServiceServer::acceptPending(int listen_fd)
         // Request/response framing: latency beats Nagle batching.
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
                      sizeof(one));
-        auto conn = std::make_unique<Connection>(config_.maxFrame);
+        auto conn = std::make_unique<Connection>();
         conn->fd = fd;
         conn->id = nextConnId_++;
         conn->lastActivity = Clock::now();
@@ -338,7 +334,6 @@ ServiceServer::enqueueSingle(Connection &conn, const Request &req,
     task.kind = SimTask::Kind::Single;
     task.connId = conn.id;
     task.request = req;
-    task.enqueued = Clock::now();
     pendingTasks_.fetch_add(1, std::memory_order_acq_rel);
     if (!shards_[shard].queue->tryPush(std::move(task))) {
         pendingTasks_.fetch_sub(1, std::memory_order_acq_rel);
@@ -376,13 +371,11 @@ ServiceServer::enqueueFanout(Connection &conn, const Request &req)
 
     ++conn.inFlight;
     pendingTasks_.fetch_add(n, std::memory_order_acq_rel);
-    Clock::time_point now = Clock::now();
     for (std::uint32_t s = 0; s < n; ++s) {
         SimTask task;
         task.kind = SimTask::Kind::FanPart;
         task.connId = conn.id;
         task.request = req;
-        task.enqueued = now;
         task.fanout = fan;
         shards_[s].queue->pushInternal(std::move(task));
     }
@@ -415,6 +408,8 @@ void
 ServiceServer::handleFrame(Connection &conn,
                            const std::string &payload)
 {
+    if (conn.poisoned)
+        return; // frames behind a malformed one are dropped
     std::string parse_err;
     std::optional<JsonValue> doc = parseJson(payload, &parse_err);
     if (!doc) {
@@ -424,7 +419,7 @@ ServiceServer::handleFrame(Connection &conn,
         CASH_METRIC_INC("service.protocol_errors");
         respondNow(conn,
                    errorResponse(0, errors::Malformed, parse_err));
-        conn.readClosed = true;
+        conn.poisoned = true;
         conn.closeAfterFlush = true;
         return;
     }
@@ -457,20 +452,23 @@ ServiceServer::serviceRead(Connection &conn)
         ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
         if (n > 0) {
             conn.lastActivity = Clock::now();
+            // Dropped input is read one buffer per wakeup, so a
+            // client that keeps sending cannot hold the IO thread.
+            if (conn.poisoned)
+                return true;
             conn.decoder.feed(buf, static_cast<std::size_t>(n));
             while (auto payload = conn.decoder.next())
                 handleFrame(conn, *payload);
-            if (const char *err = conn.decoder.error()) {
+            if (const char *err = conn.decoder.error();
+                err && !conn.poisoned) {
                 CASH_METRIC_INC("service.protocol_errors");
                 respondNow(conn,
                            errorResponse(0, err,
                                          "frame stream poisoned; "
                                          "closing"));
-                conn.readClosed = true;
+                conn.poisoned = true;
                 conn.closeAfterFlush = true;
             }
-            if (conn.readClosed)
-                return true;
             if (static_cast<std::size_t>(n) < sizeof(buf))
                 return true;
             continue;
@@ -573,7 +571,7 @@ ServiceServer::ioLoop()
             && !flushing) {
             flushing = true;
             flush_deadline = Clock::now()
-                + std::chrono::milliseconds(kFlushGraceMs);
+                + std::chrono::milliseconds(kGraceMs);
         }
 
         if (flushing) {
@@ -602,12 +600,31 @@ ServiceServer::ioLoop()
 
         // --- Maintenance: retire finished connections, refresh
         // epoll interest for the rest.
+        bool lingering = false;
         {
             std::vector<std::uint64_t> done;
             for (auto &kv : conns_) {
                 Connection &conn = *kv.second;
                 if (conn.closeAfterFlush && conn.inFlight == 0
                     && conn.outOff >= conn.outbox.size()) {
+                    // A poisoned stream's client may still be
+                    // sending; closing over its unread bytes would
+                    // reset the socket, so it sees EOF instead and
+                    // its input is drained until it closes.
+                    if (conn.poisoned && !conn.readClosed) {
+                        Clock::time_point now = Clock::now();
+                        if (!conn.writeClosed) {
+                            ::shutdown(conn.fd, SHUT_WR);
+                            conn.writeClosed = true;
+                            conn.lingerUntil = now
+                                + std::chrono::milliseconds(kGraceMs);
+                        }
+                        if (now < conn.lingerUntil) {
+                            lingering = true;
+                            updateInterest(conn);
+                            continue;
+                        }
+                    }
                     done.push_back(conn.id);
                     continue;
                 }
@@ -618,7 +635,7 @@ ServiceServer::ioLoop()
         }
 
         int timeout = -1;
-        if (flushing || stop_begun) {
+        if (flushing || stop_begun || lingering) {
             timeout = 50;
         } else if (config_.idleTimeoutMs > 0) {
             Clock::time_point now = Clock::now();
@@ -728,13 +745,9 @@ ServiceServer::handOff(std::uint64_t conn_id, Handoff h)
 }
 
 void
-ServiceServer::simHandleTask(std::uint32_t shard, SimTask &task,
-                             Clock::time_point now)
+ServiceServer::simHandleTask(std::uint32_t shard, SimTask &task)
 {
     ServiceCore &core = region_.core(shard);
-    bool late = config_.requestDeadlineMs > 0
-        && task.kind != SimTask::Kind::MigrateIn
-        && msBetween(task.enqueued, now) > config_.requestDeadlineMs;
     auto traced_apply = [&] {
         double t0 = traceNowUs();
         JsonValue resp = core.apply(task.request);
@@ -749,9 +762,7 @@ ServiceServer::simHandleTask(std::uint32_t shard, SimTask &task,
     std::optional<Handoff> handoff;
     switch (task.kind) {
       case SimTask::Kind::Single:
-        if (late) {
-            resp = deadlineExceeded(task.request.id);
-        } else if (task.request.op == Op::Migrate) {
+        if (task.request.op == Op::Migrate) {
             std::variant<Handoff, JsonValue> out =
                 core.migrateOut(task.request);
             if (Handoff *h = std::get_if<Handoff>(&out))
@@ -762,17 +773,9 @@ ServiceServer::simHandleTask(std::uint32_t shard, SimTask &task,
             resp = traced_apply();
         }
         break;
-      case SimTask::Kind::FanPart: {
-        // The first shard to dequeue a part decides on time or late
-        // for every part, so a region op applies on all shards or
-        // on none.
-        int undecided = -1;
-        task.fanout->late.compare_exchange_strong(
-            undecided, late ? 1 : 0, std::memory_order_acq_rel);
-        if (task.fanout->late.load(std::memory_order_acquire) == 0)
-            task.fanout->parts[shard] = traced_apply();
+      case SimTask::Kind::FanPart:
+        task.fanout->parts[shard] = traced_apply();
         break;
-      }
       case SimTask::Kind::MigrateIn:
         resp = region_.migrateIn(task.handoff);
         break;
@@ -787,9 +790,7 @@ ServiceServer::simHandleTask(std::uint32_t shard, SimTask &task,
         Fanout &fan = *task.fanout;
         if (fan.remaining.fetch_sub(1, std::memory_order_acq_rel)
             == 1) {
-            resp = fan.late.load(std::memory_order_relaxed) == 1
-                ? deadlineExceeded(fan.reqId)
-                : region_.merge(fan.op, fan.reqId, fan.parts);
+            resp = region_.merge(fan.op, fan.reqId, fan.parts);
             publish(fan.connId, encodeFrame(resp.dump()));
         }
     } else if (task.connId != 0) { // 0: a rebalance, nobody to answer
@@ -802,13 +803,12 @@ ServiceServer::simLoop(std::uint32_t shard)
 {
     Shard &sh = shards_[shard];
     std::vector<SimTask> batch;
-    while (sh.queue->popBatch(batch, config_.maxBatch)) {
+    while (sh.queue->popBatch(batch, kMaxBatch)) {
         CASH_METRIC_SAMPLE("service.batch_size",
                            static_cast<double>(batch.size()));
         double batch_t0 = traceNowUs();
-        Clock::time_point now = Clock::now();
         for (SimTask &task : batch)
-            simHandleTask(shard, task, now);
+            simHandleTask(shard, task);
         traceServiceSpan("batch", batch_t0,
                          {{"shard", shard},
                           {"requests", batch.size()}});

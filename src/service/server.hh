@@ -21,8 +21,7 @@
  *    byte of the tenant id), or one part per shard, where the last
  *    shard to finish merges the parts and publishes the response. A
  *    fanned-out op is all or nothing: it is refused unless every
- *    queue has room, and the first shard to dequeue a part decides
- *    for all of them whether it missed its deadline. Cross-shard
+ *    queue has room, and then every part applies. Cross-shard
  *    migration is a sim-to-sim hand-off: the source's migrate-out
  *    pushes a capacity-exempt task to the target's queue, whose
  *    migrate-in responds. After every batch a sim thread runs the
@@ -37,9 +36,9 @@
  *    read on current state. A connection with a request still in
  *    flight (Connection::inFlight > 0) sends its reads through the
  *    queue instead, so its requests apply in order and it reads its
- *    own writes. `queue_full` and `deadline_exceeded` never apply to
- *    a read answered from a view. The two region reads, snapshot
- *    and shards, still fan out through the queues.
+ *    own writes. `queue_full` never applies to a read answered from
+ *    a view. The two region reads, snapshot and shards, still fan
+ *    out through the queues.
  *
  * Determinism: each shard's state is a pure function of its applied
  * request sequence. One shard and one client reproduce the PR-5
@@ -90,15 +89,8 @@ struct ServerConfig
      *  and then enqueues on all of them at once; only the
      *  capacity-exempt migration hand-offs exceed the bound. */
     std::size_t queueCapacity = 256;
-    /** Simulation-thread batch bound per queue drain. */
-    std::size_t maxBatch = 64;
-    /** Per-frame payload cap, bytes. */
-    std::size_t maxFrame = kDefaultMaxFrame;
     /** Close connections silent for this long (0 = never). */
     int idleTimeoutMs = 0;
-    /** Requests older than this at apply time are answered
-     *  `deadline_exceeded` instead of applied (0 = no deadline). */
-    int requestDeadlineMs = 0;
     /** auditProvider() after every request and stepped quantum. */
     bool audit = false;
     /** Region size: one provider + sim thread each, 1..256. */
@@ -162,7 +154,7 @@ class ServiceServer
     {
         int fd = -1;
         std::uint64_t id = 0;
-        FrameDecoder decoder;
+        FrameDecoder decoder; ///< kDefaultMaxFrame per payload
         std::string outbox;     ///< framed bytes awaiting write
         std::size_t outOff = 0; ///< written prefix of outbox
         Clock::time_point lastActivity;
@@ -175,13 +167,16 @@ class ServiceServer
         std::uint64_t inFlight = 0;
         bool readClosed = false;
         bool closeAfterFlush = false;
+        /** The stream is poisoned: input is read and dropped. Once
+         *  the last response is flushed the write side is shut and
+         *  the socket closes at the client's EOF or at lingerUntil,
+         *  so no unread bytes turn the close into a reset. */
+        bool poisoned = false;
+        bool writeClosed = false;
+        Clock::time_point lingerUntil;
         /** Interest mask currently registered with epoll. */
         std::uint32_t epollMask = 0;
         bool registered = false;
-
-        explicit Connection(std::size_t max_frame)
-            : decoder(max_frame)
-        {}
     };
 
     /** Shared state of one fanned-out region op. The last sim
@@ -192,10 +187,6 @@ class ServiceServer
         std::uint64_t reqId = 0;
         Op op = Op::Snapshot;
         std::atomic<std::uint32_t> remaining{0};
-        /** -1 until the first shard to dequeue a part decides for
-         *  every part: 0 = all apply, 1 = past the request deadline,
-         *  none does. */
-        std::atomic<int> late{-1};
         /** One slot per shard; each sim thread writes only its
          *  own (publication order via `remaining`). */
         std::vector<JsonValue> parts;
@@ -212,7 +203,6 @@ class ServiceServer
         Kind kind = Kind::Single;
         std::uint64_t connId = 0; ///< 0 = internal (no response)
         Request request;
-        Clock::time_point enqueued;
         std::shared_ptr<Fanout> fanout;
         Handoff handoff; ///< MigrateIn only
     };
@@ -254,8 +244,7 @@ class ServiceServer
     void publish(std::uint64_t conn_id, std::string framed);
 
     /** Sim-thread handlers. */
-    void simHandleTask(std::uint32_t shard, SimTask &task,
-                       Clock::time_point now);
+    void simHandleTask(std::uint32_t shard, SimTask &task);
     /** Queue a migrate-in on the hand-off's target shard. */
     void handOff(std::uint64_t conn_id, Handoff h);
 

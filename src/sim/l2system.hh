@@ -16,9 +16,10 @@
  *    new banks; lines cached in old banks under re-pointed entries
  *    become unreachable and are flushed/invalidated.
  *
- * Hit latency is distance-dependent (Table II): the virtual core
- * asks latencyFor(slice, addr) which applies dist*2 + 4 using the
- * fabric geometry.
+ * Hit latency is distance-dependent (Table II): access() charges
+ * hitLatency(slice, addr), dist * l2DistFactor + l2BaseLat (2 and 4
+ * by default) over the fabric's slice-to-bank distance, plus the
+ * memory latency on a miss.
  */
 
 #ifndef CASH_SIM_L2SYSTEM_HH

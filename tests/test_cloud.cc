@@ -46,20 +46,20 @@ TEST(Admission, VerdictsFollowCapacity)
 {
     FabricGrid grid(tinyFabric());
     FabricAllocator alloc(grid);
-    AdmissionController ctl(AdmissionParams{});
+    auto judge = &AdmissionController::judge;
 
     // Empty fabric: everything that can ever fit is admitted.
-    EXPECT_EQ(ctl.judge({2, 4}, alloc, 0), AdmissionVerdict::Admit);
+    EXPECT_EQ(judge({2, 4}, alloc, 0), AdmissionVerdict::Admit);
 
     // The reserved runtime Slice (modelled here by just filling the
     // chip) makes an 8-Slice request impossible on an 8-Slice grid.
-    EXPECT_EQ(ctl.judge({8, 4}, alloc, 0), AdmissionVerdict::Reject);
+    EXPECT_EQ(judge({8, 4}, alloc, 0), AdmissionVerdict::Reject);
 
     // Fill the fabric; further arrivals queue until the queue is
     // full, then reject.
     ASSERT_TRUE(alloc.allocate(7, 32).has_value());
-    EXPECT_EQ(ctl.judge({1, 1}, alloc, 0), AdmissionVerdict::Queue);
-    EXPECT_EQ(ctl.judge({1, 1}, alloc, ctl.params().queueLimit),
+    EXPECT_EQ(judge({1, 1}, alloc, 0), AdmissionVerdict::Queue);
+    EXPECT_EQ(judge({1, 1}, alloc, kAdmissionQueueLimit),
               AdmissionVerdict::Reject);
 }
 
@@ -67,7 +67,7 @@ TEST(Admission, VerdictsFollowCapacity)
 
 TEST(Arbiter, GrantOrderIsDeficitThenPriceThenId)
 {
-    FabricArbiter arb(ArbiterParams{});
+    FabricArbiter arb;
     std::vector<GrantCandidate> cands = {
         {0, 0.0, 0.05},
         {1, 0.2, 0.01},
@@ -84,7 +84,7 @@ TEST(Arbiter, ShrinksAlwaysPassAndExpandsClampToCapacity)
 {
     FabricGrid grid(tinyFabric());
     FabricAllocator alloc(grid);
-    FabricArbiter arb(ArbiterParams{});
+    FabricArbiter arb;
 
     // Occupy most of the chip: 5 Slices, 28 banks -> 3 Slices and
     // 4 banks free.
@@ -111,6 +111,16 @@ TEST(Arbiter, ShrinksAlwaysPassAndExpandsClampToCapacity)
 }
 
 // --- CloudProvider ---------------------------------------------
+
+TEST(CloudProvider, ZeroQuantumIsFatalAtConstruction)
+{
+    ProviderParams p = tinyParams(Provisioning::FineGrain);
+    p.quantum = 0;
+    EXPECT_THROW(CloudProvider{p}, FatalError);
+    // Every scheme steps its tenants by the quantum.
+    p.provisioning = Provisioning::StaticPeak;
+    EXPECT_THROW(CloudProvider{p}, FatalError);
+}
 
 TEST(CloudProvider, DeterministicAcrossInstances)
 {

@@ -89,7 +89,7 @@ TEST(Policy, OracleFollowsProfile)
     Rig rig;
     OraclePolicy oracle(rig.sim, rig.id, QosKind::Throughput,
                         profile().qosTarget, space(), cost(),
-                        200'000, 0.05, profile(), &rig.inner,
+                        200'000, profile(), &rig.inner,
                         nullptr);
     oracle.run(8'000'000);
     ASSERT_GT(oracle.stats().samples, 10u);
@@ -107,7 +107,7 @@ TEST(Policy, OracleNeedsPhaseSource)
 {
     Rig rig;
     EXPECT_THROW(OraclePolicy(rig.sim, rig.id, QosKind::Throughput,
-                              1.0, space(), cost(), 200'000, 0.05,
+                              1.0, space(), cost(), 200'000,
                               profile(), nullptr, nullptr),
                  FatalError);
 }
@@ -117,7 +117,7 @@ TEST(Policy, RaceToIdleHoldsOneConfig)
     Rig rig;
     RaceToIdlePolicy race(rig.sim, rig.id, QosKind::Throughput,
                           profile().qosTarget, space(), cost(),
-                          200'000, 0.05, profile());
+                          200'000, profile());
     race.run(6'000'000);
     EXPECT_LE(race.stats().reconfigs, 1u);
     EXPECT_LT(race.stats().violationPct(), 25.0);
@@ -131,7 +131,7 @@ TEST(Policy, RaceToIdleChargesBusyOnly)
     Rig rig;
     RaceToIdlePolicy race(rig.sim, rig.id, QosKind::Throughput,
                           profile().qosTarget, space(), cost(),
-                          200'000, 0.05, profile());
+                          200'000, profile());
     race.run(6'000'000);
     std::size_t wc =
         profile().cheapestMeetingAll(space(), cost());
@@ -146,7 +146,7 @@ TEST(Policy, ConvexHullIsConcaveFrontier)
     Rig rig;
     ConvexOptPolicy convex(rig.sim, rig.id, QosKind::Throughput,
                            profile().qosTarget, space(), cost(),
-                           200'000, 0.05, profile());
+                           200'000, profile());
     const auto &hull = convex.hull();
     ASSERT_GE(hull.size(), 1u);
     // Hull points are sorted by cost and performance.
@@ -175,7 +175,7 @@ TEST(Policy, ConvexRunsAndTracks)
     Rig rig;
     ConvexOptPolicy convex(rig.sim, rig.id, QosKind::Throughput,
                            profile().qosTarget, space(), cost(),
-                           200'000, 0.05, profile());
+                           200'000, profile());
     convex.run(8'000'000);
     ASSERT_GT(convex.stats().samples, 10u);
     EXPECT_GT(convex.stats().meanQos(), 0.7);
@@ -200,7 +200,7 @@ TEST(Policy, SeriesRecorded)
     Rig rig;
     OraclePolicy oracle(rig.sim, rig.id, QosKind::Throughput,
                         profile().qosTarget, space(), cost(),
-                        200'000, 0.05, profile(), &rig.inner,
+                        200'000, profile(), &rig.inner,
                         nullptr);
     oracle.run(3'000'000);
     ASSERT_GT(oracle.series().size(), 5u);

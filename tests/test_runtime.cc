@@ -31,7 +31,7 @@ steadyPhase()
 
 struct Rig
 {
-    Rig(double target, Cycle quantum = 400'000)
+    Rig(double target, Cycle quantum = 400'000, bool dvfs = false)
         : space(), cost(),
           sim(),
           id(*sim.createVCore(1, 1)),
@@ -40,6 +40,7 @@ struct Rig
     {
         sim.vcore(id).bindSource(&paced);
         params.quantum = quantum;
+        params.dvfs = dvfs;
         runtime = std::make_unique<CashRuntime>(
             sim, id, QosKind::Throughput, target, space, cost,
             params, 7);
@@ -206,6 +207,30 @@ TEST(Runtime, WorksOnCoarseGrainSpace)
         EXPECT_LT(st.schedule.under, coarse.size());
     }
     EXPECT_GT(rt.totalSamples(), 10u);
+}
+
+/**
+ * With DVFS on, quanta 1..kNumPStates-1 each probe one P-state. A
+ * probe's reading is an experiment, not plant feedback, so the
+ * quantum after each probe leaves the Kalman estimate where it was;
+ * the first quantum after the probe window moves it again.
+ */
+TEST(Runtime, DvfsProbeReadingsSkipTheEstimator)
+{
+    Rig rig(0.4, 400'000, /*dvfs=*/true);
+    std::vector<double> b_hat; // the estimate each quantum used
+    std::vector<std::uint32_t> pstate;
+    for (std::uint32_t q = 0; q <= kNumPStates + 1; ++q) {
+        QuantumStats st = rig.runtime->step();
+        b_hat.push_back(st.baseEstimate);
+        pstate.push_back(st.pstate);
+    }
+    for (std::uint32_t q = 1; q < kNumPStates; ++q)
+        ASSERT_EQ(pstate[q], q) << "quantum " << q << " probes";
+    for (std::uint32_t q = 2; q <= kNumPStates; ++q)
+        EXPECT_EQ(b_hat[q], b_hat[q - 1]) << "quantum " << q;
+    EXPECT_NE(b_hat[1], b_hat[0]);
+    EXPECT_NE(b_hat[kNumPStates + 1], b_hat[kNumPStates]);
 }
 
 TEST(Runtime, LearnerTracksVisitedConfigs)

@@ -16,13 +16,15 @@
  * `loadgen.latency_us` histogram of the metric registry.
  *
  * Exit status: 0 when every session completed and every request got
- * exactly one response; 1 otherwise.
+ * exactly one response; 1 otherwise; 2 on a bad flag (a malformed or
+ * out-of-range number included).
  */
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 
+#include "common/flags.hh"
 #include "common/log.hh"
 #include "service/loadgen.hh"
 #include "trace/options.hh"
@@ -43,64 +45,42 @@ main(int argc, char **argv)
         cfg.requests = 64;
         cfg.classes = 11; // the default provider catalog
 
-        auto need = [&argc](int i, const char *flag) {
-            if (i + 1 >= argc)
-                fatal("%s needs a value", flag);
+        auto parseProb = [](const char *flag, const char *text) {
+            return parseFlag<double>(flag, text, 0.0, 1.0);
         };
         for (int i = 1; i < argc; ++i) {
             const char *arg = argv[i];
+            auto value = [&] { return flagValue(argc, argv, i); };
             if (!std::strcmp(arg, "--unix")) {
-                need(i, arg);
-                cfg.unixPath = argv[++i];
+                cfg.unixPath = value();
             } else if (!std::strcmp(arg, "--tcp")) {
-                need(i, arg);
-                cfg.tcpPort = static_cast<std::uint16_t>(
-                    std::strtoul(argv[++i], nullptr, 10));
+                cfg.tcpPort = parseFlag<std::uint16_t>(arg, value());
             } else if (!std::strcmp(arg, "--host")) {
-                need(i, arg);
-                cfg.tcpHost = argv[++i];
+                cfg.tcpHost = value();
             } else if (!std::strcmp(arg, "--sessions")) {
-                need(i, arg);
-                cfg.sessions = static_cast<unsigned>(
-                    std::strtoul(argv[++i], nullptr, 10));
+                cfg.sessions = parseFlag<unsigned>(arg, value(), 1);
             } else if (!std::strcmp(arg, "--requests")) {
-                need(i, arg);
-                cfg.requests = static_cast<unsigned>(
-                    std::strtoul(argv[++i], nullptr, 10));
+                cfg.requests = parseFlag<unsigned>(arg, value(), 1);
             } else if (!std::strcmp(arg, "--rate")) {
-                need(i, arg);
-                cfg.rate = std::strtod(argv[++i], nullptr);
+                cfg.rate = parseFlag<double>(arg, value(), 0.0);
             } else if (!std::strcmp(arg, "--window")) {
-                need(i, arg);
-                cfg.window = static_cast<unsigned>(
-                    std::strtoul(argv[++i], nullptr, 10));
+                cfg.window = parseFlag<unsigned>(arg, value());
             } else if (!std::strcmp(arg, "--seed")) {
-                need(i, arg);
-                cfg.seed = std::strtoull(argv[++i], nullptr, 10);
+                cfg.seed = parseFlag<std::uint64_t>(arg, value());
             } else if (!std::strcmp(arg, "--classes")) {
-                need(i, arg);
-                cfg.classes = static_cast<unsigned>(
-                    std::strtoul(argv[++i], nullptr, 10));
+                cfg.classes = parseFlag<unsigned>(arg, value());
             } else if (!std::strcmp(arg, "--depart-prob")) {
-                need(i, arg);
-                cfg.departProb = std::strtod(argv[++i], nullptr);
+                cfg.departProb = parseProb(arg, value());
             } else if (!std::strcmp(arg, "--query-prob")) {
-                need(i, arg);
-                cfg.queryProb = std::strtod(argv[++i], nullptr);
+                cfg.queryProb = parseProb(arg, value());
             } else if (!std::strcmp(arg, "--step-prob")) {
-                need(i, arg);
-                cfg.stepProb = std::strtod(argv[++i], nullptr);
+                cfg.stepProb = parseProb(arg, value());
             } else if (!std::strcmp(arg, "--migrate-prob")) {
-                need(i, arg);
-                cfg.migrateProb = std::strtod(argv[++i], nullptr);
+                cfg.migrateProb = parseProb(arg, value());
             } else if (!std::strcmp(arg, "--step-quanta")) {
-                need(i, arg);
-                cfg.stepQuanta = static_cast<std::uint32_t>(
-                    std::strtoul(argv[++i], nullptr, 10));
+                cfg.stepQuanta = parseFlag<std::uint32_t>(arg, value());
             } else if (!std::strcmp(arg, "--residence-max")) {
-                need(i, arg);
-                cfg.residenceMax = static_cast<std::uint32_t>(
-                    std::strtoul(argv[++i], nullptr, 10));
+                cfg.residenceMax = parseFlag<std::uint32_t>(arg, value());
             } else {
                 fatal("unknown flag '%s' (see --unix, --tcp, "
                       "--host, --sessions, --requests, --rate, "
@@ -113,8 +93,6 @@ main(int argc, char **argv)
         }
         if (cfg.unixPath.empty() && cfg.tcpPort == 0)
             fatal("need a target: --unix <path> or --tcp <port>");
-        if (cfg.sessions == 0 || cfg.requests == 0)
-            fatal("--sessions and --requests must be positive");
 
         service::LoadReport rep = service::runLoad(cfg);
 

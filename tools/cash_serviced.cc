@@ -8,7 +8,7 @@
  *
  *   cash_serviced --unix /tmp/cash.sock
  *   cash_serviced --tcp 0            # ephemeral port, printed
- *   cash_serviced --unix s.sock --queue-cap 64 --deadline-ms 200
+ *   cash_serviced --unix s.sock --queue-cap 64 --idle-timeout-ms 30000
  *   cash_serviced --unix s.sock --shards 4 --placement spread \
  *       --migrate-frag 1.5
  *
@@ -28,7 +28,8 @@
  * conservation audited), flush responses, then print the aggregated
  * region report — one JSON object with every shard's final bills —
  * to stdout and exit 0. --trace/--metrics work as on every other
- * binary (trace/options.hh).
+ * binary (trace/options.hh). A malformed or out-of-range flag value
+ * exits 2 before the daemon listens.
  */
 
 #include <cerrno>
@@ -41,6 +42,7 @@
 
 #include "check/invariant.hh"
 #include "cloud/provider.hh"
+#include "common/flags.hh"
 #include "common/log.hh"
 #include "service/server.hh"
 #include "trace/options.hh"
@@ -81,102 +83,66 @@ main(int argc, char **argv)
         cloud::ProviderParams params;
         params.arrivalProb = 0.0; // arrivals only through requests
 
-        auto need = [&argc](int i, const char *flag) {
-            if (i + 1 >= argc)
-                fatal("%s needs a value", flag);
-        };
         for (int i = 1; i < argc; ++i) {
             const char *arg = argv[i];
+            auto value = [&] { return flagValue(argc, argv, i); };
             if (!std::strcmp(arg, "--unix")) {
-                need(i, arg);
-                cfg.unixPath = argv[++i];
+                cfg.unixPath = value();
             } else if (!std::strcmp(arg, "--tcp")) {
-                need(i, arg);
                 cfg.listenTcp = true;
-                cfg.tcpPort = static_cast<std::uint16_t>(
-                    std::strtoul(argv[++i], nullptr, 10));
+                cfg.tcpPort = parseFlag<std::uint16_t>(arg, value());
             } else if (!std::strcmp(arg, "--queue-cap")) {
-                need(i, arg);
                 cfg.queueCapacity =
-                    std::strtoul(argv[++i], nullptr, 10);
-            } else if (!std::strcmp(arg, "--max-batch")) {
-                need(i, arg);
-                cfg.maxBatch = std::strtoul(argv[++i], nullptr, 10);
-            } else if (!std::strcmp(arg, "--max-frame")) {
-                need(i, arg);
-                cfg.maxFrame = std::strtoul(argv[++i], nullptr, 10);
+                    parseFlag<std::size_t>(arg, value(), 1);
             } else if (!std::strcmp(arg, "--idle-timeout-ms")) {
-                need(i, arg);
-                cfg.idleTimeoutMs = static_cast<int>(
-                    std::strtol(argv[++i], nullptr, 10));
-            } else if (!std::strcmp(arg, "--deadline-ms")) {
-                need(i, arg);
-                cfg.requestDeadlineMs = static_cast<int>(
-                    std::strtol(argv[++i], nullptr, 10));
+                cfg.idleTimeoutMs = parseFlag<int>(arg, value(), 0);
             } else if (!std::strcmp(arg, "--audit")) {
                 cfg.audit = true;
             } else if (!std::strcmp(arg, "--seed")) {
-                need(i, arg);
-                params.seed =
-                    std::strtoull(argv[++i], nullptr, 10);
+                params.seed = parseFlag<std::uint64_t>(arg, value());
             } else if (!std::strcmp(arg, "--quantum")) {
-                need(i, arg);
-                params.quantum =
-                    std::strtoull(argv[++i], nullptr, 10);
-            } else if (!std::strcmp(arg, "--coarse")) {
-                params.provisioning =
-                    cloud::Provisioning::CoarseGrain;
+                // Zero parses; the provider refuses it.
+                params.quantum = parseFlag<Cycle>(arg, value());
             } else if (!std::strcmp(arg, "--sampled")) {
                 // Sampled simulation (sim/sampler.hh): steady
                 // phases fast-forward; final bills are flagged
                 // "estimated" in the drain report.
                 params.simMode = SimMode::Sampled;
             } else if (!std::strcmp(arg, "--rows")) {
-                need(i, arg);
-                params.fabric.rows = static_cast<std::uint32_t>(
-                    std::strtoul(argv[++i], nullptr, 10));
+                params.fabric.rows =
+                    parseFlag<std::uint32_t>(arg, value(), 1);
             } else if (!std::strcmp(arg, "--shards")) {
-                need(i, arg);
-                cfg.shards = static_cast<std::uint32_t>(
-                    std::strtoul(argv[++i], nullptr, 10));
+                cfg.shards = parseFlag<std::uint32_t>(
+                    arg, value(), 1, cloud::kMaxShards);
             } else if (!std::strcmp(arg, "--placement")) {
-                need(i, arg);
-                auto p =
-                    cloud::placementPolicyFromName(argv[++i]);
+                const char *name = value();
+                auto p = cloud::placementPolicyFromName(name);
                 if (!p)
                     fatal("--placement must be binpack or spread, "
                           "got '%s'",
-                          argv[i]);
+                          name);
                 cfg.placement = *p;
             } else if (!std::strcmp(arg, "--migrate-frag")) {
-                need(i, arg);
                 cfg.rebalance.fragThreshold =
-                    std::strtod(argv[++i], nullptr);
-            } else if (!std::strcmp(arg,
-                                    "--migrate-imbalance")) {
-                need(i, arg);
+                    parseFlag<double>(arg, value(), 0.0);
+            } else if (!std::strcmp(arg, "--migrate-imbalance")) {
                 cfg.rebalance.imbalanceThreshold =
-                    std::strtod(argv[++i], nullptr);
+                    parseFlag<double>(arg, value(), 0.0);
             } else if (!std::strcmp(arg, "--migrate-cooldown")) {
-                need(i, arg);
                 cfg.rebalance.cooldownRounds =
-                    std::strtoull(argv[++i], nullptr, 10);
+                    parseFlag<std::uint64_t>(arg, value());
             } else if (!std::strcmp(arg, "--no-rebalance")) {
                 cfg.rebalance.enabled = false;
             } else {
                 fatal("unknown flag '%s' (see --unix, --tcp, "
-                      "--queue-cap, --max-batch, --max-frame, "
-                      "--idle-timeout-ms, --deadline-ms, --audit, "
-                      "--seed, --quantum, --coarse, --sampled, "
-                      "--rows, --shards, --placement, "
-                      "--migrate-frag, --migrate-imbalance, "
-                      "--migrate-cooldown, --no-rebalance, "
-                      "--trace, --metrics)",
+                      "--queue-cap, --idle-timeout-ms, --audit, "
+                      "--seed, --quantum, --sampled, --rows, "
+                      "--shards, --placement, --migrate-frag, "
+                      "--migrate-imbalance, --migrate-cooldown, "
+                      "--no-rebalance, --trace, --metrics)",
                       arg);
             }
         }
-        if (cfg.queueCapacity == 0 || cfg.maxBatch == 0)
-            fatal("--queue-cap and --max-batch must be positive");
 
         if (::pipe(g_sigPipe) != 0)
             fatal("cannot create signal pipe: %s",
@@ -214,13 +180,12 @@ main(int argc, char **argv)
         const service::RegionStats rs = server.regionStats();
         inform("cash_serviced: %llu request(s) over %llu "
                "connection(s) in %llu batch(es); queue_full=%llu "
-               "deadline_exceeded=%llu protocol_errors=%llu "
-               "idle_closed=%llu migrations=%llu rebalances=%llu",
+               "protocol_errors=%llu idle_closed=%llu "
+               "migrations=%llu rebalances=%llu",
                count("service.requests"), count("service.accepted"),
                static_cast<unsigned long long>(
                    reg.histogram("service.batch_size").count()),
                count("service.queue_full"),
-               count("service.deadline_exceeded"),
                count("service.protocol_errors"),
                count("service.idle_closed"),
                static_cast<unsigned long long>(rs.migrations),

@@ -30,6 +30,7 @@
  *   fuzz_reconfig --seed 7 --trace out.json # Chrome-trace timeline
  *       of the replay (open in ui.perfetto.dev); --metrics out.csv
  *       writes the aggregate counters
+ *   fuzz_reconfig --help                    # every flag
  */
 
 #include <cstdint>
@@ -44,6 +45,7 @@
 #include "check/audit.hh"
 #include "check/invariant.hh"
 #include "cloud/provider.hh"
+#include "common/flags.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "service/core.hh"
@@ -988,6 +990,26 @@ reportFailure(const char *mode, std::uint64_t seed,
                  opt.sampled ? " --sampled" : "");
 }
 
+const char *const kUsage =
+    "usage: fuzz_reconfig [flags]\n"
+    "  --seeds N      fuzz seeds start..start+N-1 (default 100)\n"
+    "  --seed S       replay the one seed S, verbosely\n"
+    "  --start S      first seed of a --seeds batch (default 0)\n"
+    "  --ops N        operations per seed (default 48)\n"
+    "  --mode M       op families: alloc, sim, cloud, service,\n"
+    "                 region, both (alloc+sim) or all (default)\n"
+    "  --inject F     arm a deliberate bug the audits must catch:\n"
+    "                 alloc-leak, l2-undercount, rename-drop,\n"
+    "                 provider-leak, energy-leak (needs a\n"
+    "                 CASH_CHECK_INVARIANTS build)\n"
+    "  --sampled      replay under sampled simulation\n"
+    "  --no-shrink    report a failing seed's full op list\n"
+    "  --verbose      print every seed as it runs\n"
+    "  --trace F      write a Chrome trace_event timeline to F\n"
+    "  --metrics F    write the metric summary CSV to F\n"
+    "Exit status: 0 when every seed passes, 1 when one fails, 2 on\n"
+    "a bad flag.\n";
+
 int
 run(const Options &opt)
 {
@@ -1112,32 +1134,24 @@ main(int argc, char **argv)
         // Owns --trace/--metrics (removed from argv here); writes
         // the exports when main returns.
         trace::TraceOptions topts(argc, argv);
-        auto need = [argc](int i, const char *flag) {
-            if (i + 1 >= argc)
-                fatal("%s needs a value", flag);
-        };
         for (int i = 1; i < argc; ++i) {
             const char *arg = argv[i];
-            if (!std::strcmp(arg, "--seeds")) {
-                need(i, arg);
-                opt.numSeeds = std::strtoull(argv[++i], nullptr, 10);
+            auto value = [&] { return flagValue(argc, argv, i); };
+            if (!std::strcmp(arg, "--help")) {
+                std::fputs(kUsage, stdout);
+                return 0;
+            } else if (!std::strcmp(arg, "--seeds")) {
+                opt.numSeeds = parseFlag<std::uint64_t>(arg, value(), 1);
             } else if (!std::strcmp(arg, "--seed")) {
-                need(i, arg);
-                opt.firstSeed =
-                    std::strtoull(argv[++i], nullptr, 10);
+                opt.firstSeed = parseFlag<std::uint64_t>(arg, value());
                 opt.numSeeds = 1;
                 opt.verbose = true;
             } else if (!std::strcmp(arg, "--start")) {
-                need(i, arg);
-                opt.firstSeed =
-                    std::strtoull(argv[++i], nullptr, 10);
+                opt.firstSeed = parseFlag<std::uint64_t>(arg, value());
             } else if (!std::strcmp(arg, "--ops")) {
-                need(i, arg);
-                opt.opsPerSeed = static_cast<std::uint32_t>(
-                    std::strtoul(argv[++i], nullptr, 10));
+                opt.opsPerSeed = parseFlag<std::uint32_t>(arg, value(), 1);
             } else if (!std::strcmp(arg, "--mode")) {
-                need(i, arg);
-                std::string mode = argv[++i];
+                std::string mode = value();
                 // "both" predates the cloud layer and keeps meaning
                 // alloc+sim; "all" is everything.
                 opt.modeAlloc = mode == "alloc" || mode == "both"
@@ -1155,8 +1169,7 @@ main(int argc, char **argv)
                           "all)",
                           mode.c_str());
             } else if (!std::strcmp(arg, "--inject")) {
-                need(i, arg);
-                opt.inject = faultFromName(argv[++i]);
+                opt.inject = faultFromName(value());
             } else if (!std::strcmp(arg, "--sampled")) {
                 opt.sampled = true;
             } else if (!std::strcmp(arg, "--no-shrink")) {
@@ -1164,11 +1177,9 @@ main(int argc, char **argv)
             } else if (!std::strcmp(arg, "--verbose")) {
                 opt.verbose = true;
             } else {
-                fatal("unknown flag '%s'", arg);
+                fatal("unknown flag '%s' (see --help)", arg);
             }
         }
-        if (opt.opsPerSeed == 0 || opt.numSeeds == 0)
-            fatal("--seeds and --ops must be positive");
         return run(opt);
     } catch (const FatalError &e) {
         std::fprintf(stderr, "fuzz_reconfig: %s\n", e.what());
